@@ -21,11 +21,10 @@ from . import __version__
 from .cp1 import OperatorKind, density_profile
 from .cpn import (
     build_basis,
-    classify_symmetry,
     full_symmetry_orbits,
     metric_from_class_values,
     multinomial_coeffs,
-    MultiIndexMetric,
+    permutation_orbits,
 )
 from .dynamics import (
     DEFAULT_CONV_TOL,
@@ -34,14 +33,18 @@ from .dynamics import (
     NormalizationMode,
     build_trajectory,
     coordinate_sigma_series,
-    is_palindromic,
     iterate,
-    sigma_closed_form,
+    sigma_law,
     sigma_probe,
 )
-from .cpn import sigma_predict_cpn
 from .errors import ConvergenceError, MetricError, QuadratureError
-from .metrics import BalancedFamily, DiagonalMetric, balanced_coeffs
+from .metrics import (
+    BalancedFamily,
+    DiagonalMetric,
+    MultiIndexMetric,
+    balanced_coeffs,
+    is_palindromic,
+)
 from .tables import TABLE_IDS, golden_table, reproduce
 
 EXIT_OK = 0
@@ -167,13 +170,11 @@ def _build_start(args):
 
 
 def _display_columns(metric, class_indices):
-    if isinstance(metric, MultiIndexMetric):
-        if class_indices is not None:
-            return class_indices, [f"a{i + 1}" for i in class_indices]
-        idx = list(range(metric.basis.size))
-        return idx, [f"a{i + 1}" for i in idx]
-    idx = list(range(metric.coeffs.size))
-    return idx, [f"a{i}" for i in idx]
+    idx = class_indices if class_indices is not None else list(range(metric.coeffs.size))
+    # CP^1 columns are named by the power of z (a0..ak), CP^n columns by
+    # basis position (a1..aN)
+    first = 0 if metric.n == 1 else 1
+    return idx, [f"a{i + first}" for i in idx]
 
 
 def cmd_iterate(args) -> int:
@@ -229,14 +230,7 @@ def cmd_sigma(args) -> int:
     else:
         metric = _random_start(args)
     kind = OperatorKind.parse(args.op)
-    if isinstance(metric, MultiIndexMetric):
-        sym = classify_symmetry(metric).generally_symmetric
-        predicted = sigma_predict_cpn(metric.basis.n, metric.basis.k, sym)
-        regime = "generally symmetric" if sym else "generic"
-    else:
-        pal = is_palindromic(metric)
-        predicted = sigma_closed_form(kind, metric.k, palindromic=pal)
-        regime = "palindromic" if pal else "non-palindromic"
+    predicted, regime = sigma_law(kind, metric)
     sigma_hat, used = sigma_probe(kind, metric, err_floor=args.err_floor,
                                   tol=args.tol, max_steps=args.steps,
                                   conv_tol=args.conv_tol, max_iter=args.max_iter)
@@ -278,9 +272,7 @@ def _random_start(args):
         # kills every linear slow mode (a product of shorter cycles does not,
         # and such metrics still converge at the generic rate)
         pi = (1, 2, 0) if n == 2 else (1, 2, 3, 0)
-        from .cpn import permutation_action
-        from .cpn import _orbits_from_maps
-        orbits = _orbits_from_maps(basis.size, [permutation_action(basis, pi)])
+        orbits = permutation_orbits(basis, [pi])
         coeffs = np.empty(basis.size)
         for orbit in orbits:
             coeffs[list(orbit)] = base[orbit[0]] * np.exp(rng.uniform(-0.5, 0.5))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MetricError
-from .metrics import DiagonalMetric, as_metric
+from .metrics import DiagonalMetric, as_cp1_metric
 from .quadrature import (
     DEFAULT_NODE_CAP,
     DEFAULT_START_NODES,
@@ -58,7 +58,11 @@ class OperatorKind(enum.Enum):
     TK = "TK"
 
     @classmethod
-    def parse(cls, name: str) -> "OperatorKind":
+    def parse(cls, name: "OperatorKind | str") -> "OperatorKind":
+        """The kind named by ``name`` (case and underscores ignored); a kind
+        is returned unchanged."""
+        if isinstance(name, cls):
+            return name
         key = name.strip().lower().replace("_", "")
         for kind in cls:
             if kind.value.lower() == key:
@@ -66,6 +70,8 @@ class OperatorKind(enum.Enum):
         raise ValueError(f"unknown operator {name!r}; expected one of T, Tnu, TK")
 
     def validate_degree(self, k: int) -> None:
+        if k < 0:
+            raise MetricError(f"degree k must be >= 0, got k={k}")
         if self is OperatorKind.T and k < 1:
             raise MetricError("T is undefined for k=0 (its numerator vanishes)")
         if self is OperatorKind.TK and (k < 2 or k % 2 != 0):
@@ -107,8 +113,8 @@ def _homogenized(ah: np.ndarray, k: int, m: int, with_density: bool):
     return Q, Wq, W0, S, w
 
 
-def _apply_family(g, kind: OperatorKind, tol: float, m0: int, m_cap: int) -> DiagonalMetric:
-    g = as_metric(g)
+def _apply_family(g, kind: OperatorKind, tol: float) -> DiagonalMetric:
+    g = as_cp1_metric(g)
     k = g.k
     kind.validate_degree(k)
     amax = float(np.max(g.coeffs))
@@ -135,40 +141,33 @@ def _apply_family(g, kind: OperatorKind, tol: float, m0: int, m_cap: int) -> Dia
         dens = np.array([np.sum(w * Wq[q] * fk) for q in range(k + 1)])
         return np.concatenate(([num], dens))
 
+    evaluate = {OperatorKind.T: evaluate_t, OperatorKind.TNU: evaluate_tnu,
+                OperatorKind.TK: evaluate_tk}[kind]
+    vals, _ = refine_by_doubling(evaluate, tol, DEFAULT_START_NODES[1], DEFAULT_NODE_CAP[1])
     if kind is OperatorKind.TNU:
-        vals, _ = refine_by_doubling(evaluate_tnu, tol, m0, m_cap)
         return DiagonalMetric(amax / ((k + 1) * vals))
-    vals, _ = refine_by_doubling(
-        evaluate_t if kind is OperatorKind.T else evaluate_tk, tol, m0, m_cap
-    )
     num, dens = vals[0], vals[1:]
     return DiagonalMetric(amax * num / ((k + 1) * dens))
 
 
-def apply_T(g, tol: float = DEFAULT_APPLY_TOL,
-            m0: int = DEFAULT_START_NODES[1], m_cap: int = DEFAULT_NODE_CAP[1]) -> DiagonalMetric:
+def apply_T(g, tol: float = DEFAULT_APPLY_TOL) -> DiagonalMetric:
     """One application of the metric-volume-form map T.  Requires k >= 1."""
-    return _apply_family(g, OperatorKind.T, tol, m0, m_cap)
+    return _apply_family(g, OperatorKind.T, tol)
 
 
-def apply_Tnu(g, tol: float = DEFAULT_APPLY_TOL,
-              m0: int = DEFAULT_START_NODES[1], m_cap: int = DEFAULT_NODE_CAP[1]) -> DiagonalMetric:
+def apply_Tnu(g, tol: float = DEFAULT_APPLY_TOL) -> DiagonalMetric:
     """One application of the fixed-volume-form map T_nu (reference form on CP^1)."""
-    return _apply_family(g, OperatorKind.TNU, tol, m0, m_cap)
+    return _apply_family(g, OperatorKind.TNU, tol)
 
 
-def apply_TK(g, tol: float = DEFAULT_APPLY_TOL,
-             m0: int = DEFAULT_START_NODES[1], m_cap: int = DEFAULT_NODE_CAP[1]) -> DiagonalMetric:
+def apply_TK(g, tol: float = DEFAULT_APPLY_TOL) -> DiagonalMetric:
     """One application of the canonical-volume-form map T_K.  Requires even k >= 2."""
-    return _apply_family(g, OperatorKind.TK, tol, m0, m_cap)
+    return _apply_family(g, OperatorKind.TK, tol)
 
 
-def apply_operator(kind: OperatorKind | str, g, tol: float = DEFAULT_APPLY_TOL,
-                   m0: int = DEFAULT_START_NODES[1],
-                   m_cap: int = DEFAULT_NODE_CAP[1]) -> DiagonalMetric:
+def apply_operator(kind: OperatorKind | str, g, tol: float = DEFAULT_APPLY_TOL) -> DiagonalMetric:
     """Dispatch to apply_T / apply_Tnu / apply_TK by OperatorKind."""
-    kind = OperatorKind.parse(kind) if isinstance(kind, str) else kind
-    return _apply_family(g, kind, tol, m0, m_cap)
+    return _apply_family(g, OperatorKind.parse(kind), tol)
 
 
 @dataclass(frozen=True)
@@ -192,7 +191,7 @@ def density_profile(g, xs) -> DensityProfile:
     normalized by their maximum before evaluation so extreme metrics stay in
     floating range.
     """
-    g = as_metric(g)
+    g = as_cp1_metric(g)
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or xs.size == 0:
         raise ValueError("sample points must form a non-empty 1-d array")

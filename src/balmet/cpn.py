@@ -31,6 +31,7 @@ from math import comb, factorial
 import numpy as np
 
 from .errors import MetricError
+from .metrics import MultiIndexMetric
 from .quadrature import (
     DEFAULT_NODE_CAP,
     DEFAULT_START_NODES,
@@ -44,6 +45,7 @@ __all__ = [
     "SymmetryClassification",
     "build_basis",
     "permutation_action",
+    "permutation_orbits",
     "classify_symmetry",
     "apply_Tnu_cpn",
     "sigma_predict_cpn",
@@ -100,31 +102,6 @@ def build_basis(n: int, k: int) -> MonomialBasis:
     basis = MonomialBasis(n, k, tuple(exps))
     assert basis.size == comb(n + k, k)
     return basis
-
-
-@dataclass(frozen=True, eq=False)
-class MultiIndexMetric:
-    """Positive coefficients a_i indexed by a monomial basis (matrix diag 1/a_i)."""
-
-    basis: MonomialBasis
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.coeffs, dtype=float)
-        if a.shape != (self.basis.size,):
-            raise MetricError(
-                f"expected {self.basis.size} coefficients, got shape {a.shape}"
-            )
-        if not np.all(np.isfinite(a)) or np.any(a <= 0.0):
-            raise MetricError("coefficients must be finite and strictly positive")
-        a = a.copy()
-        a.flags.writeable = False
-        object.__setattr__(self, "coeffs", a)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MultiIndexMetric):
-            return NotImplemented
-        return self.basis == other.basis and bool(np.all(self.coeffs == other.coeffs))
 
 
 def permutation_action(basis: MonomialBasis, pi) -> np.ndarray:
@@ -231,14 +208,17 @@ def multinomial_coeffs(basis: MonomialBasis) -> np.ndarray:
     return out
 
 
+def permutation_orbits(basis: MonomialBasis, perms) -> tuple[tuple[int, ...], ...]:
+    """Orbit partition of basis indices under the group generated by the given
+    homogeneous-coordinate permutations, ordered by first occurrence (orbit
+    representatives in basis order)."""
+    return _orbits_from_maps(basis.size, [permutation_action(basis, pi) for pi in perms])
+
+
 def full_symmetry_orbits(basis: MonomialBasis) -> tuple[tuple[int, ...], ...]:
     """Orbit partition of basis indices under the full group Sym(n+1),
     ordered by first occurrence (orbit representatives in basis order)."""
-    maps = [
-        permutation_action(basis, pi)
-        for pi in itertools.permutations(range(basis.n + 1))
-    ]
-    return _orbits_from_maps(basis.size, maps)
+    return permutation_orbits(basis, itertools.permutations(range(basis.n + 1)))
 
 
 def metric_from_class_values(basis: MonomialBasis, values) -> MultiIndexMetric:
@@ -258,23 +238,6 @@ def metric_from_class_values(basis: MonomialBasis, values) -> MultiIndexMetric:
     for orbit, v in zip(orbits, values):
         coeffs[list(orbit)] = v
     return MultiIndexMetric(basis, coeffs)
-
-
-def _exact_invariance_orbits(metric: MultiIndexMetric) -> tuple[tuple[int, ...], ...]:
-    """Orbits under permutations that fix the coefficients *bitwise*.
-
-    Used to share integrals across symmetric coefficients; exact equality
-    guarantees replication introduces no projection, and keeps iterates of a
-    symmetric start exactly symmetric.
-    """
-    basis = metric.basis
-    a = metric.coeffs
-    maps = []
-    for pi in itertools.permutations(range(basis.n + 1)):
-        mp = permutation_action(basis, pi)
-        if np.array_equal(a[mp], a):
-            maps.append(mp)
-    return _orbits_from_maps(basis.size, maps)
 
 
 def _duffy_axis_exponents(alpha: tuple[int, ...], k: int, n: int,
@@ -302,8 +265,6 @@ def _tensor_product(factors: list[np.ndarray]) -> np.ndarray:
 def apply_Tnu_cpn(
     metric: MultiIndexMetric,
     tol: float = DEFAULT_APPLY_TOL_CPN,
-    m0: int | None = None,
-    m_cap: int | None = None,
 ) -> MultiIndexMetric:
     """One T_nu application on a torus-invariant metric over CP^n, n in 1..3.
 
@@ -315,14 +276,13 @@ def apply_Tnu_cpn(
     n, k = basis.n, basis.k
     if n not in _SUPPORTED_N:
         raise MetricError(f"unsupported dimension n={n}; this build handles n <= 3")
-    if m0 is None:
-        m0 = DEFAULT_START_NODES[n]
-    if m_cap is None:
-        m_cap = DEFAULT_NODE_CAP[n]
     N = basis.size
     amax = float(np.max(metric.coeffs))
     ah = metric.coeffs / amax
-    orbits = _exact_invariance_orbits(metric)
+    # orbits under the permutations that fix the coefficients bitwise: exact
+    # equality means replication introduces no projection, and keeps iterates
+    # of a symmetric start exactly symmetric
+    orbits = classify_symmetry(metric, tol=0.0).orbits
     reps = [orbit[0] for orbit in orbits]
 
     denom_exp = [
@@ -351,7 +311,7 @@ def apply_Tnu_cpn(
             vals[idx] = np.sum(numer * R)
         return vals
 
-    integrals, _ = refine_by_doubling(evaluate, tol, m0, m_cap)
+    integrals, _ = refine_by_doubling(evaluate, tol, DEFAULT_START_NODES[n], DEFAULT_NODE_CAP[n])
     rep_out = amax / (N * factorial(n) * integrals)
     out = np.empty(N)
     for orbit, v in zip(orbits, rep_out):

@@ -18,10 +18,10 @@ import numpy as np
 
 from . import cp1, cpn
 from .errors import ConvergenceError, MetricError
-from .metrics import DiagonalMetric, as_metric, distance, is_palindromic, scale
+from .metrics import MultiIndexMetric, as_metric, distance, is_palindromic, scale
 from .metrics import predict_balanced_direction_k2
 from .cp1 import OperatorKind
-from .cpn import MultiIndexMetric, classify_symmetry, sigma_predict_cpn
+from .cpn import classify_symmetry, sigma_predict_cpn
 
 __all__ = [
     "NormalizationMode",
@@ -34,6 +34,7 @@ __all__ = [
     "sigma_estimate",
     "coordinate_sigma_series",
     "sigma_closed_form",
+    "sigma_law",
     "bound_series",
     "contraction_witness",
     "DEFAULT_CONV_TOL",
@@ -68,23 +69,8 @@ class NormalizationMode(enum.Enum):
                          f"expected none, balanced, or first")
 
 
-def _rescaled(g, lam: float):
-    if isinstance(g, MultiIndexMetric):
-        return MultiIndexMetric(g.basis, g.coeffs * lam)
-    return scale(g, lam)
-
-
 def _first_normalized(g):
-    return _rescaled(g, 1.0 / float(g.coeffs[0]))
-
-
-def _metric_distance(a, b) -> float:
-    if isinstance(a, MultiIndexMetric) or isinstance(b, MultiIndexMetric):
-        if not (isinstance(a, MultiIndexMetric) and isinstance(b, MultiIndexMetric)
-                and a.basis == b.basis):
-            raise MetricError("metrics live on different bases")
-        return float(np.sqrt(np.sum(np.log(b.coeffs / a.coeffs) ** 2)))
-    return distance(a, b)
+    return scale(g, 1.0 / float(g.coeffs[0]))
 
 
 def apply_step(op, g, tol: float | None = None):
@@ -94,8 +80,7 @@ def apply_step(op, g, tol: float | None = None):
     T_nu map only.
     """
     if isinstance(g, MultiIndexMetric):
-        kind = OperatorKind.parse(op) if isinstance(op, str) else op
-        if kind is not OperatorKind.TNU:
+        if OperatorKind.parse(op) is not OperatorKind.TNU:
             raise MetricError("only the T_nu map is defined on CP^n metrics here")
         return cpn.apply_Tnu_cpn(g, tol=tol if tol is not None else cpn.DEFAULT_APPLY_TOL_CPN)
     return cp1.apply_operator(op, g, tol=tol if tol is not None else cp1.DEFAULT_APPLY_TOL)
@@ -109,7 +94,7 @@ def iterate(op, g0, steps: int, tol: float | None = None) -> list:
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    out = [g0 if isinstance(g0, MultiIndexMetric) else as_metric(g0)]
+    out = [as_metric(g0)]
     for r in range(steps):
         try:
             out.append(apply_step(op, out[-1], tol=tol))
@@ -128,11 +113,11 @@ def find_balanced(op, g0, conv_tol: float = DEFAULT_CONV_TOL,
     result is cross-checked against the closed-form limit direction
     (a_0, 2 sqrt(a_0 a_2), a_2), which those maps conserve.
     """
-    cur = g0 if isinstance(g0, MultiIndexMetric) else as_metric(g0)
+    cur = as_metric(g0)
     step = float("inf")
     for _ in range(max_iter):
         nxt = apply_step(op, cur, tol=tol)
-        step = _metric_distance(_first_normalized(cur), _first_normalized(nxt))
+        step = distance(_first_normalized(cur), _first_normalized(nxt))
         cur = nxt
         if step < conv_tol:
             break
@@ -142,17 +127,16 @@ def find_balanced(op, g0, conv_tol: float = DEFAULT_CONV_TOL,
             f"(last step size {step:.3e})",
             last=cur, step_size=step,
         )
-    if isinstance(cur, DiagonalMetric) and cur.k == 2:
-        kind = OperatorKind.parse(op) if isinstance(op, str) else op
-        if kind in (OperatorKind.T, OperatorKind.TK):
-            predicted = _first_normalized(predict_balanced_direction_k2(as_metric(g0)))
-            got = _first_normalized(cur)
-            dev = float(np.max(np.abs(got.coeffs / predicted.coeffs - 1.0)))
-            if dev > 1e-6:
-                raise ConvergenceError(
-                    f"degree-2 limit deviates from the conserved direction by {dev:.3e}",
-                    last=cur, step_size=step,
-                )
+    # T and T_K run on CP^1 metrics only (apply_step rejects the rest)
+    if cur.k == 2 and OperatorKind.parse(op) in (OperatorKind.T, OperatorKind.TK):
+        predicted = _first_normalized(predict_balanced_direction_k2(g0))
+        got = _first_normalized(cur)
+        dev = float(np.max(np.abs(got.coeffs / predicted.coeffs - 1.0)))
+        if dev > 1e-6:
+            raise ConvergenceError(
+                f"degree-2 limit deviates from the conserved direction by {dev:.3e}",
+                last=cur, step_size=step,
+            )
     return cur
 
 
@@ -195,22 +179,14 @@ def _normalize_against(g, balanced, mode: NormalizationMode):
     if mode is NormalizationMode.NONE:
         return g
     if mode is NormalizationMode.BALANCED_FIRST:
-        return _rescaled(g, 1.0 / float(balanced.coeffs[0]))
+        return scale(g, 1.0 / float(balanced.coeffs[0]))
     return _first_normalized(g)
 
 
 def _err_against(g, balanced, mode: NormalizationMode) -> float:
     if mode is NormalizationMode.FIRST_COEFF:
-        return _metric_distance(_first_normalized(g), _first_normalized(balanced))
-    return _metric_distance(g, balanced)
-
-
-def _sigma_for(op, g0) -> float:
-    if isinstance(g0, MultiIndexMetric):
-        sym = classify_symmetry(g0).generally_symmetric
-        return sigma_predict_cpn(g0.basis.n, g0.basis.k, sym)
-    kind = OperatorKind.parse(op) if isinstance(op, str) else op
-    return sigma_closed_form(kind, g0.k, palindromic=is_palindromic(g0))
+        return distance(_first_normalized(g), _first_normalized(balanced))
+    return distance(g, balanced)
 
 
 def build_trajectory(op, g0, steps: int,
@@ -227,7 +203,7 @@ def build_trajectory(op, g0, steps: int,
     """
     if isinstance(normalization, str):
         normalization = NormalizationMode.parse(normalization)
-    kind = OperatorKind.parse(op) if isinstance(op, str) else op
+    kind = OperatorKind.parse(op)
     iterates = iterate(kind, g0, steps, tol=tol)
     if balanced is None:
         balanced = find_balanced(kind, iterates[-1], conv_tol=conv_tol,
@@ -237,9 +213,8 @@ def build_trajectory(op, g0, steps: int,
         errs[r + 1] / errs[r] if errs[r] > 0.0 else float("nan")
         for r in range(len(errs) - 1)
     )
-    g_first = iterates[0]
-    k = g_first.basis.k if isinstance(g_first, MultiIndexMetric) else g_first.k
-    sigma = _sigma_for(kind, g_first)
+    k = iterates[0].k
+    sigma, _ = sigma_law(kind, iterates[0])
     d = errs[0]
     bounds = tuple(
         float(np.logaddexp(0.0, k * d + r * log(sigma))) if sigma > 0.0
@@ -313,14 +288,14 @@ def sigma_probe(op, g0, err_floor: float = DEFAULT_ERR_FLOOR,
     (sigma_hat, steps_used) where sigma_hat is the latest ratio whose
     numerator exceeds err_floor.
     """
-    g0 = g0 if isinstance(g0, MultiIndexMetric) else as_metric(g0)
+    g0 = as_metric(g0)
     balanced = find_balanced(op, g0, conv_tol=conv_tol, max_iter=max_iter, tol=tol)
     bal_n = _first_normalized(balanced)
-    errs = [_metric_distance(_first_normalized(g0), bal_n)]
+    errs = [distance(_first_normalized(g0), bal_n)]
     cur = g0
     while len(errs) <= max_steps and errs[-1] > err_floor:
         cur = apply_step(op, cur, tol=tol)
-        errs.append(_metric_distance(_first_normalized(cur), bal_n))
+        errs.append(distance(_first_normalized(cur), bal_n))
     above = [r for r in range(len(errs)) if errs[r] > err_floor]
     if len(above) < 3 or above[-1] == 0:
         raise ConvergenceError(
@@ -338,9 +313,8 @@ def sigma_closed_form(op, k: int, palindromic: bool = False) -> float:
     T_K:  (k-1)/(k+3).
     The palindromic flag is irrelevant for T and T_K.
     """
-    if k < 1:
-        raise ValueError("need k >= 1")
-    kind = OperatorKind.parse(op) if isinstance(op, str) else op
+    kind = OperatorKind.parse(op)
+    kind.validate_degree(k)
     if kind is OperatorKind.TNU:
         if palindromic:
             return (k - 1) * k / ((k + 2) * (k + 3))
@@ -348,6 +322,24 @@ def sigma_closed_form(op, k: int, palindromic: bool = False) -> float:
     if kind is OperatorKind.T:
         return (k - 1) * (k + 6) / ((k + 2) * (k + 3))
     return (k - 1) / (k + 3)
+
+
+def sigma_law(op, g0) -> tuple[float, str]:
+    """The predicted asymptotic distance ratio of iterating op from g0, and
+    the regime of g0 that selects the law.
+
+    Over CP^1 this is ``sigma_closed_form`` with regime "palindromic" or
+    "non-palindromic"; over CP^n, n >= 2, ``sigma_predict_cpn`` with regime
+    "generally symmetric" or "generic".
+    """
+    g0 = as_metric(g0)
+    if g0.n == 1:
+        pal = is_palindromic(g0)
+        return (sigma_closed_form(op, g0.k, palindromic=pal),
+                "palindromic" if pal else "non-palindromic")
+    sym = classify_symmetry(g0).generally_symmetric
+    return (sigma_predict_cpn(g0.n, g0.k, sym),
+            "generally symmetric" if sym else "generic")
 
 
 def bound_series(traj: Trajectory) -> list[tuple[float, float, bool]]:

@@ -1,24 +1,33 @@
-"""Diagonal Hermitian metrics on sections over the projective line.
+"""Metrics with diagonal Hermitian matrices: the coefficient vectors the maps act on.
 
-A metric is stored as the positive coefficient vector (a_0, ..., a_k); the
-underlying (k+1)x(k+1) Hermitian matrix is diagonal with entries 1/a_q.
-Geometry on the space of such metrics is flat in log coordinates: the
-geodesic distance between A and B is the Euclidean norm of log(b_i/a_i).
+A metric is stored as a positive coefficient vector; the underlying Hermitian
+matrix is diagonal with entries 1/a_i.  ``DiagonalMetric`` holds
+(a_0, ..., a_k) for degree k over the projective line, ``MultiIndexMetric``
+one coefficient per monomial of a basis over CP^n.  Both expose ``coeffs``,
+the degree ``k`` and the dimension ``n``.  Geometry on the space of such
+metrics is flat in log coordinates: the geodesic distance between A and B is
+the Euclidean norm of log(b_i/a_i).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import MetricError
 
+if TYPE_CHECKING:
+    from .cpn import MonomialBasis
+
 __all__ = [
     "DiagonalMetric",
+    "MultiIndexMetric",
     "BalancedFamily",
     "as_metric",
+    "as_cp1_metric",
     "distance",
     "scale",
     "reverse",
@@ -55,6 +64,10 @@ class DiagonalMetric:
     def k(self) -> int:
         return self.coeffs.size - 1
 
+    @property
+    def n(self) -> int:
+        return 1
+
     def __len__(self) -> int:
         return self.coeffs.size
 
@@ -73,36 +86,83 @@ class DiagonalMetric:
         return f"DiagonalMetric(({vals}))"
 
 
-def as_metric(g) -> DiagonalMetric:
-    """Coerce a coefficient sequence to a validated DiagonalMetric."""
-    return g if isinstance(g, DiagonalMetric) else DiagonalMetric(np.asarray(g, float))
+@dataclass(frozen=True, eq=False)
+class MultiIndexMetric:
+    """Positive coefficients a_i indexed by a monomial basis (matrix diag 1/a_i)."""
+
+    basis: MonomialBasis
+    coeffs: np.ndarray
+
+    def __post_init__(self):
+        a = np.asarray(self.coeffs, dtype=float)
+        if a.shape != (self.basis.size,):
+            raise MetricError(
+                f"expected {self.basis.size} coefficients, got shape {a.shape}"
+            )
+        if not np.all(np.isfinite(a)) or np.any(a <= 0.0):
+            raise MetricError("coefficients must be finite and strictly positive")
+        a = a.copy()
+        a.flags.writeable = False
+        object.__setattr__(self, "coeffs", a)
+
+    @property
+    def k(self) -> int:
+        return self.basis.k
+
+    @property
+    def n(self) -> int:
+        return self.basis.n
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MultiIndexMetric):
+            return NotImplemented
+        return self.basis == other.basis and bool(np.all(self.coeffs == other.coeffs))
 
 
-def _pair(a, b) -> tuple[DiagonalMetric, DiagonalMetric]:
+def as_metric(g) -> DiagonalMetric | MultiIndexMetric:
+    """Pass either metric type through; coerce a coefficient sequence to a
+    validated DiagonalMetric."""
+    if isinstance(g, (DiagonalMetric, MultiIndexMetric)):
+        return g
+    return DiagonalMetric(np.asarray(g, float))
+
+
+def as_cp1_metric(g) -> DiagonalMetric | MultiIndexMetric:
+    """``as_metric`` restricted to metrics over the projective line (n = 1)."""
+    g = as_metric(g)
+    if g.n != 1:
+        raise MetricError(f"expected a metric over CP^1, got one over CP^{g.n}")
+    return g
+
+
+def _pair(a, b):
     a, b = as_metric(a), as_metric(b)
+    if type(a) is not type(b) or (isinstance(a, MultiIndexMetric) and a.basis != b.basis):
+        raise MetricError("metrics live on different bases")
     if a.k != b.k:
         raise MetricError(f"degree mismatch: {a.k} != {b.k}")
     return a, b
 
 
 def distance(a, b) -> float:
-    """Geodesic distance sqrt(sum_i log(b_i/a_i)^2) between same-degree metrics."""
+    """Geodesic distance sqrt(sum_i log(b_i/a_i)^2) between metrics of the same
+    type, degree and basis."""
     a, b = _pair(a, b)
     return float(np.sqrt(np.sum(np.log(b.coeffs / a.coeffs) ** 2)))
 
 
-def scale(g, lam: float) -> DiagonalMetric:
-    """Uniformly rescale all coefficients by lam > 0."""
+def scale(g, lam: float) -> DiagonalMetric | MultiIndexMetric:
+    """Uniformly rescale all coefficients by lam > 0, keeping the metric type."""
     g = as_metric(g)
     if not np.isfinite(lam) or lam <= 0.0:
         raise MetricError(f"scale factor must be positive, got {lam!r}")
-    return DiagonalMetric(g.coeffs * lam)
+    return replace(g, coeffs=g.coeffs * lam)
 
 
-def reverse(g) -> DiagonalMetric:
+def reverse(g) -> DiagonalMetric | MultiIndexMetric:
     """Coefficient reversal (a_0,...,a_k) -> (a_k,...,a_0), i.e. z -> 1/z."""
-    g = as_metric(g)
-    return DiagonalMetric(g.coeffs[::-1])
+    g = as_cp1_metric(g)
+    return replace(g, coeffs=g.coeffs[::-1])
 
 
 def is_palindromic(g, tol: float = 1e-12) -> bool:
@@ -113,7 +173,7 @@ def is_palindromic(g, tol: float = 1e-12) -> bool:
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    a = as_metric(g).coeffs
+    a = as_cp1_metric(g).coeffs
     b = a[::-1]
     return bool(np.all(np.abs(a - b) <= tol * np.maximum(a, b)))
 
@@ -152,7 +212,7 @@ def predict_balanced_direction_k2(g) -> DiagonalMetric:
     The ratio a_2/a_0 is conserved by both maps at k = 2, which pins the
     limit to (a_0, 2*sqrt(a_0*a_2), a_2) up to overall scale.
     """
-    g = as_metric(g)
+    g = as_cp1_metric(g)
     if g.k != 2:
         raise MetricError(f"prediction requires degree 2, got k={g.k}")
     a0, _, a2 = g.coeffs
@@ -160,10 +220,11 @@ def predict_balanced_direction_k2(g) -> DiagonalMetric:
 
 
 def trace_relation(g, g_next) -> float:
-    """sum_i a_i / a~_i for same-degree metrics.
+    """sum_i a_i / a~_i for metrics of the same type, degree and basis.
 
-    Equals k+1 (up to quadrature tolerance) whenever g_next is the image of g
-    under any of the three operator maps.
+    Equals the number of coefficients (k+1 over CP^1), up to quadrature
+    tolerance, whenever g_next is the image of g under any of the operator
+    maps.
     """
     g, g_next = _pair(g, g_next)
     return float(np.sum(g.coeffs / g_next.coeffs))

@@ -1,11 +1,16 @@
-"""Deterministic Gauss-Legendre quadrature over (0,infinity) and (0,infinity)^n.
+"""Deterministic Gauss-Legendre quadrature on (0,1), certified by doubling.
 
-The semi-infinite axis is mapped onto the open unit interval and integrated
-with Gauss-Legendre nodes.  Node/weight tables are computed in theta space
-(x = cos theta), which yields the node t and its complement 1-t each to full
-*relative* precision.  That matters here: the operator integrands take high
-powers of both t and 1-t, and forming 1-t by subtraction caps attainable
-accuracy near 1e-10 for ill-scaled metrics.
+This is the one quadrature engine of the package: ``gauss_legendre_unit``
+builds the rule and ``refine_by_doubling`` certifies a batch of integrals.
+The operator maps in ``cp1`` and ``cpn`` map their domains onto (0,1) or the
+unit box themselves; ``integrate_semi_infinite`` does the same for a single
+integrand over (0,infinity).
+
+Node/weight tables are computed in theta space (x = cos theta), which yields
+the node t and its complement 1-t each to full *relative* precision.  That
+matters here: the operator integrands take high powers of both t and 1-t, and
+forming 1-t by subtraction caps attainable accuracy near 1e-10 for
+ill-scaled metrics.
 
 Accuracy is certified a posteriori by doubling the node count until two
 consecutive rules agree to the requested relative tolerance.  All reductions
@@ -15,8 +20,7 @@ bit-reproducible across runs and thread counts.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from collections.abc import Callable
 from functools import lru_cache
 
 import numpy as np
@@ -24,28 +28,17 @@ import numpy as np
 from .errors import QuadratureError
 
 __all__ = [
-    "QuadratureRule",
-    "IntegrandSpec",
     "gauss_legendre_unit",
     "integrate_semi_infinite",
-    "integrate_box",
     "refine_by_doubling",
-    "DEFAULT_REL_TOL",
     "DEFAULT_START_NODES",
     "DEFAULT_NODE_CAP",
 ]
 
-# Per-dimension defaults: starting nodes-per-axis, axis cap, relative tolerance.
+# Per-dimension defaults of the operator maps: starting nodes per axis and
+# the per-axis cap.
 DEFAULT_START_NODES = {1: 64, 2: 64, 3: 48}
 DEFAULT_NODE_CAP = {1: 2048, 2: 512, 3: 192}
-DEFAULT_REL_TOL = {1: 1e-11, 2: 1e-9, 3: 1e-7}
-
-# Grading exponent of the per-axis map x = (t/(1-t))**p.  p = 1 is the plain
-# rational map; for n >= 2 the tensor-product integrand of a radially decaying
-# function is singular at the all-ones corner and plain p = 1 converges only
-# algebraically (measured ~1e-6 at the n=2 node cap).  Grading with p = 3, 4
-# restores fast convergence while keeping product-type integrands exact.
-_AXIS_GRADING = {1: 1, 2: 3, 3: 4}
 
 
 def _legendre_pair(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -88,91 +81,6 @@ def gauss_legendre_unit(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return t, omt, w
 
 
-def _mapped_axis(m: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes on (0,infinity) and weights (Jacobian included) for x=(t/(1-t))^p."""
-    t, omt, w = gauss_legendre_unit(m)
-    r = t / omt
-    if p == 1:
-        return r, w / omt**2
-    return r**p, w * p * r ** (p - 1) / omt**2
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Tensor-product rule for integrals over (0,infinity)^n.
-
-    Per axis, the rule holds Gauss-Legendre nodes on (0,1) pushed through
-    x = (t/(1-t))^p with the Jacobian folded into the weights.  For n = 1 the
-    map is the plain t/(1-t).
-    """
-
-    dimension: int
-    nodes_per_axis: int
-
-    def __post_init__(self):
-        if self.dimension not in _AXIS_GRADING:
-            raise ValueError(f"unsupported dimension {self.dimension}; expected 1..3")
-        if self.nodes_per_axis < 1:
-            raise ValueError("nodes_per_axis must be >= 1")
-
-    @property
-    def grading(self) -> int:
-        return _AXIS_GRADING[self.dimension]
-
-    def axis(self) -> tuple[np.ndarray, np.ndarray]:
-        """(nodes, weights) on the half line for one axis."""
-        return _mapped_axis(self.nodes_per_axis, self.grading)
-
-    def points_and_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """All tensor points, shape (m^n, n), with combined weights (m^n,)."""
-        x, wx = self.axis()
-        n = self.dimension
-        if n == 1:
-            return x[:, None], wx
-        grids = np.meshgrid(*([x] * n), indexing="ij")
-        pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
-        w = wx
-        for _ in range(n - 1):
-            w = np.multiply.outer(w, wx)
-        return pts, w.reshape(-1)
-
-    def apply(self, f: Callable) -> float:
-        """Integrate a vectorized callable over (0,infinity)^n."""
-        pts, w = self.points_and_weights()
-        vals = _eval_integrand(f, pts, self.dimension)
-        return float(np.sum(vals * w))
-
-
-@dataclass(frozen=True)
-class IntegrandSpec:
-    """An integrand callback plus a smoothness hint.
-
-    The callback receives points in (0,infinity)^n: a 1-d array of x values
-    when n = 1, else an (M, n) array; it must return the M values.  The hint
-    'fractional-power' bumps the starting node count, since such integrands
-    converge more slowly than rational ones.
-    """
-
-    fn: Callable
-    smoothness: str = "rational"
-
-    def __post_init__(self):
-        if self.smoothness not in ("rational", "fractional-power"):
-            raise ValueError(f"unknown smoothness hint {self.smoothness!r}")
-
-
-def _eval_integrand(f: Callable, pts: np.ndarray, n: int) -> np.ndarray:
-    args = pts[:, 0] if n == 1 else pts
-    vals = np.asarray(f(args), dtype=float)
-    if vals.shape != (pts.shape[0],):
-        raise ValueError(
-            f"integrand returned shape {vals.shape}, expected ({pts.shape[0]},)"
-        )
-    if not np.all(np.isfinite(vals)):
-        raise QuadratureError("integrand returned non-finite values")
-    return vals
-
-
 def refine_by_doubling(
     evaluate: Callable[[int], np.ndarray],
     rel_tol: float,
@@ -212,62 +120,30 @@ def refine_by_doubling(
 
 
 def integrate_semi_infinite(
-    f: Callable | IntegrandSpec,
-    rel_tol: float = DEFAULT_REL_TOL[1],
-    m0: int | None = None,
+    f: Callable,
+    rel_tol: float = 1e-11,
+    m0: int = DEFAULT_START_NODES[1],
     m_cap: int = DEFAULT_NODE_CAP[1],
 ) -> tuple[float, float]:
     """Integrate f over (0,infinity) to a certified relative tolerance.
 
+    The half line is mapped onto (0,1) by x = t/(1-t) and integrated with
+    ``gauss_legendre_unit`` nodes, certified by ``refine_by_doubling``.  f
+    receives a 1-d array of x values and must return one value per point.
     Returns (value, err_est) where err_est is the relative disagreement of the
     final two node counts.  The integrand must decay algebraically; it is
     evaluated at mapped Gauss-Legendre nodes, never at 0 or infinity.
     """
-    spec = f if isinstance(f, IntegrandSpec) else IntegrandSpec(f)
-    if m0 is None:
-        m0 = DEFAULT_START_NODES[1]
-        if spec.smoothness == "fractional-power":
-            m0 *= 2
 
     def evaluate(m: int) -> np.ndarray:
-        rule = QuadratureRule(1, m)
-        pts, w = rule.points_and_weights()
-        vals = _eval_integrand(spec.fn, pts, 1)
-        return np.array([np.sum(vals * w)])
-
-    values, err = refine_by_doubling(evaluate, rel_tol, m0, m_cap)
-    return float(values[0]), float(err[0])
-
-
-def integrate_box(
-    f: Callable | IntegrandSpec,
-    n: int,
-    rel_tol: float | None = None,
-    m0: int | None = None,
-    m_cap: int | None = None,
-) -> tuple[float, float]:
-    """Integrate f over (0,infinity)^n, n in {1,2,3}, by tensor-product rules.
-
-    The callback receives an (M, n) array of points (a 1-d array when n = 1).
-    Certification doubles the per-axis node count until agreement.
-    """
-    if n not in _AXIS_GRADING:
-        raise ValueError(f"unsupported dimension {n}; this build integrates n <= 3")
-    spec = f if isinstance(f, IntegrandSpec) else IntegrandSpec(f)
-    if rel_tol is None:
-        rel_tol = DEFAULT_REL_TOL[n]
-    if m0 is None:
-        m0 = DEFAULT_START_NODES[n]
-        if spec.smoothness == "fractional-power":
-            m0 *= 2
-    if m_cap is None:
-        m_cap = DEFAULT_NODE_CAP[n]
-
-    def evaluate(m: int) -> np.ndarray:
-        rule = QuadratureRule(n, m)
-        pts, w = rule.points_and_weights()
-        vals = _eval_integrand(spec.fn, pts, n)
-        return np.array([np.sum(vals * w)])
+        t, omt, w = gauss_legendre_unit(m)
+        x = t / omt
+        vals = np.asarray(f(x), dtype=float)
+        if vals.shape != x.shape:
+            raise ValueError(f"integrand returned shape {vals.shape}, expected {x.shape}")
+        if not np.all(np.isfinite(vals)):
+            raise QuadratureError("integrand returned non-finite values")
+        return np.array([np.sum(vals * (w / omt**2))])
 
     values, err = refine_by_doubling(evaluate, rel_tol, m0, m_cap)
     return float(values[0]), float(err[0])

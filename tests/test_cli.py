@@ -88,6 +88,15 @@ class TestIterate:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
+    def test_tnu_degree_zero(self, capsys):
+        # T_nu is defined at k=0, where both of its sigma laws are 0
+        code, out, err = run_cli(capsys, "iterate", "--op", "Tnu", "--k", "0",
+                                 "--coeffs", "3", "--steps", "2")
+        assert code == 0, err
+        header, rows = parse_csv(out)
+        assert header[:2] == ["r", "a0"]
+        assert len(rows) == 3
+
 
 class TestValidationErrors:
     def test_wrong_coeff_count(self, capsys):

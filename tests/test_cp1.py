@@ -178,6 +178,7 @@ class TestDegreeValidation:
     def test_operator_kind_parse(self):
         assert OperatorKind.parse("tnu") is OperatorKind.TNU
         assert OperatorKind.parse("T_K") is OperatorKind.TK
+        assert OperatorKind.parse(OperatorKind.T) is OperatorKind.T
         with pytest.raises(ValueError):
             OperatorKind.parse("bogus")
 

@@ -129,6 +129,8 @@ class TestSigmaClosedForm:
         assert sigma_closed_form("Tnu", 3, palindromic=True) == pytest.approx(0.2)
         assert sigma_closed_form("Tnu", 3, palindromic=False) == pytest.approx(0.6)
         assert sigma_closed_form("TK", 2) == pytest.approx(0.2)
+        assert sigma_closed_form("Tnu", 0, palindromic=True) == 0.0
+        assert sigma_closed_form("Tnu", 0, palindromic=False) == 0.0
 
     def test_palindromic_flag_irrelevant_for_T_and_TK(self):
         for op in ("T", "TK"):
@@ -143,6 +145,8 @@ class TestSigmaClosedForm:
     def test_bad_degree(self):
         with pytest.raises(ValueError):
             sigma_closed_form("T", 0)
+        with pytest.raises(MetricError):
+            sigma_closed_form("TK", 3)
 
 
 class TestBoundSeries:
@@ -210,6 +214,21 @@ class TestNormalization:
                                 normalization=NormalizationMode.FIRST_COEFF)
         for g in traj.display_iterates():
             assert g.coeffs[0] == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", ["balanced", "first"])
+    @pytest.mark.parametrize("coeffs", [(1.0, 5.0, 0.3, 5.0, 1.0),
+                                        (1.0, 25.0, 0.07, 13.0)])
+    def test_cp1_and_cpn_trajectories_agree(self, coeffs, mode):
+        # the same T_nu run as a CP^1 metric and as a CP^n metric with n = 1
+        k = len(coeffs) - 1
+        diag = build_trajectory("Tnu", DiagonalMetric(np.asarray(coeffs)), steps=4,
+                                normalization=mode)
+        multi = build_trajectory("Tnu", MultiIndexMetric(build_basis(1, k), coeffs),
+                                 steps=4, normalization=mode)
+        assert isinstance(multi.balanced, MultiIndexMetric)
+        assert multi.k == diag.k == k
+        assert multi.sigma_predicted == diag.sigma_predicted
+        assert np.allclose(multi.err, diag.err, rtol=0.0, atol=1e-8)
 
     def test_cpn_requires_tnu(self):
         basis = build_basis(2, 2)

@@ -7,8 +7,10 @@ from balmet import (
     BalancedFamily,
     DiagonalMetric,
     MetricError,
+    MultiIndexMetric,
     apply_TK,
     balanced_coeffs,
+    build_basis,
     distance,
     is_palindromic,
     predict_balanced_direction_k2,
@@ -57,6 +59,15 @@ class TestDistance:
     def test_degree_mismatch(self):
         with pytest.raises(MetricError):
             distance((1, 2), (1, 2, 3))
+
+    def test_mixed_types_and_bases(self):
+        diag = DiagonalMetric(np.array([1.0, 2.0, 1.0]))
+        line = MultiIndexMetric(build_basis(1, 2), np.array([1.0, 2.0, 1.0]))
+        plane = MultiIndexMetric(build_basis(2, 1), np.array([1.0, 2.0, 1.0]))
+        for a, b in ((diag, line), (line, diag), (line, plane), (diag, plane)):
+            with pytest.raises(MetricError):
+                distance(a, b)
+        assert distance(line, scale(line, math.e)) == pytest.approx(math.sqrt(3), rel=1e-14)
 
     def test_symmetry_and_triangle(self):
         rng = np.random.default_rng(11)
