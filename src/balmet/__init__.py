@@ -54,11 +54,9 @@ from .dynamics import (
     build_trajectory,
     contraction_witness,
     coordinate_sigma_series,
-    error_series,
     find_balanced,
     iterate,
     sigma_closed_form,
-    sigma_estimate,
     sigma_law,
     sigma_probe,
 )
@@ -79,8 +77,7 @@ __all__ = [
     "metric_from_class_values", "multinomial_coeffs", "full_symmetry_orbits",
     "permutation_action", "permutation_orbits", "sigma_predict_cpn",
     "NormalizationMode", "Trajectory", "bound_series", "build_trajectory",
-    "contraction_witness", "coordinate_sigma_series", "error_series",
-    "find_balanced", "iterate", "sigma_closed_form", "sigma_estimate",
-    "sigma_law", "sigma_probe",
+    "contraction_witness", "coordinate_sigma_series", "find_balanced",
+    "iterate", "sigma_closed_form", "sigma_law", "sigma_probe",
     "TABLE_IDS", "generate_table", "golden_table", "reproduce",
 ]

@@ -188,10 +188,7 @@ def cmd_iterate(args) -> int:
     shown = traj.display_iterates()
     with_sigma = mode is NormalizationMode.FIRST_COEFF
     sig = coordinate_sigma_series(traj, coord=idx[1] if len(idx) > 1 else 0) \
-        if with_sigma else [float("nan")] + [
-            traj.err[r] / traj.err[r - 1] if traj.err[r - 1] > 0 else float("nan")
-            for r in range(1, len(traj.err))
-        ]
+        if with_sigma else [float("nan")] + list(traj.sigma_tilde)
     rows = []
     for r in range(traj.steps + 1):
         coeffs = [float(shown[r].coeffs[i]) for i in idx]
@@ -411,7 +408,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (QuadratureError, ConvergenceError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        # step_index is the index of the input a failing application got
+        where = [f"{args.op}, n={args.n}, k={args.k}"] if hasattr(args, "op") else []
+        if hasattr(exc, "step_index"):
+            where.append(f"step {exc.step_index}")
+        context = f" ({', '.join(where)})" if where else ""
+        print(f"numerical failure{context}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -5,13 +5,16 @@ Starting from any diagonal metric, repeated application of one of the maps
 converges linearly to a balanced metric B.  The per-step distance ratio tends
 to a constant sigma depending only on the operator, the degree, and (for
 T_nu) whether the start is palindromic; the distance at step r is observed to
-stay below log(1 + exp(k*d) * sigma^r) with d the initial distance.
+stay below log(1 + exp(k*d) * sigma^r) with d the initial distance.  One
+recorded orbit g0, F(g0), ... gives all of these: its prefix the iterates,
+their errors (distances to B) and error ratios, its last item the limit B.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import count, islice
 from math import log
 
 import numpy as np
@@ -30,8 +33,6 @@ __all__ = [
     "iterate",
     "find_balanced",
     "build_trajectory",
-    "error_series",
-    "sigma_estimate",
     "coordinate_sigma_series",
     "sigma_closed_form",
     "sigma_law",
@@ -86,22 +87,59 @@ def apply_step(op, g, tol: float | None = None):
     return cp1.apply_operator(op, g, tol=tol if tol is not None else cp1.DEFAULT_APPLY_TOL)
 
 
-def iterate(op, g0, steps: int, tol: float | None = None) -> list:
-    """The orbit [g0, F(g0), ..., F^steps(g0)].
-
-    Operator failures propagate; the failing step index is attached to the
-    exception as ``step_index``.
-    """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    out = [as_metric(g0)]
-    for r in range(steps):
+def _orbit(op, g0, tol: float | None):
+    """Yield the orbit g0, F(g0), F^2(g0), ... without end.  Every application
+    in this module runs here; a failing one gets its input's index attached
+    as ``step_index``."""
+    g = as_metric(g0)
+    for r in count():
+        yield g
         try:
-            out.append(apply_step(op, out[-1], tol=tol))
+            g = apply_step(op, g, tol=tol)
         except Exception as exc:
             exc.step_index = r
             raise
-    return out
+
+
+def _orbit_to_limit(op, g0, steps: int, conv_tol: float, max_iter: int,
+                    tol: float | None) -> list:
+    """The orbit [g0, ..., F^j(g0)] up to its balanced limit F^j(g0): the
+    first item after F^steps(g0) that meets the ``find_balanced`` criterion,
+    within max_iter further applications, and passes its degree-2 check."""
+    orbit = []
+    step = float("inf")
+    for r, g in enumerate(_orbit(op, g0, tol)):
+        if r > steps:
+            step = distance(_first_normalized(orbit[-1]), _first_normalized(g))
+        orbit.append(g)
+        if step < conv_tol:
+            break
+        if r - steps >= max_iter:
+            raise ConvergenceError(
+                f"no balanced limit within {max_iter} iterations "
+                f"(last step size {step:.3e})",
+                last=g, step_size=step,
+            )
+    limit = orbit[-1]
+    # T and T_K run on CP^1 metrics only (apply_step rejects the rest)
+    if limit.k == 2 and OperatorKind.parse(op) in (OperatorKind.T, OperatorKind.TK):
+        predicted = _first_normalized(predict_balanced_direction_k2(orbit[0]))
+        got = _first_normalized(limit)
+        dev = float(np.max(np.abs(got.coeffs / predicted.coeffs - 1.0)))
+        if dev > 1e-6:
+            raise ConvergenceError(
+                f"degree-2 limit deviates from the conserved direction by {dev:.3e}",
+                last=limit, step_size=step,
+            )
+    return orbit
+
+
+def iterate(op, g0, steps: int, tol: float | None = None) -> list:
+    """The orbit [g0, F(g0), ..., F^steps(g0)].  A failing application's
+    exception propagates with the index of its input as ``step_index``."""
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    return list(islice(_orbit(op, g0, tol), steps + 1))
 
 
 def find_balanced(op, g0, conv_tol: float = DEFAULT_CONV_TOL,
@@ -113,31 +151,7 @@ def find_balanced(op, g0, conv_tol: float = DEFAULT_CONV_TOL,
     result is cross-checked against the closed-form limit direction
     (a_0, 2 sqrt(a_0 a_2), a_2), which those maps conserve.
     """
-    cur = as_metric(g0)
-    step = float("inf")
-    for _ in range(max_iter):
-        nxt = apply_step(op, cur, tol=tol)
-        step = distance(_first_normalized(cur), _first_normalized(nxt))
-        cur = nxt
-        if step < conv_tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"no balanced limit within {max_iter} iterations "
-            f"(last step size {step:.3e})",
-            last=cur, step_size=step,
-        )
-    # T and T_K run on CP^1 metrics only (apply_step rejects the rest)
-    if cur.k == 2 and OperatorKind.parse(op) in (OperatorKind.T, OperatorKind.TK):
-        predicted = _first_normalized(predict_balanced_direction_k2(g0))
-        got = _first_normalized(cur)
-        dev = float(np.max(np.abs(got.coeffs / predicted.coeffs - 1.0)))
-        if dev > 1e-6:
-            raise ConvergenceError(
-                f"degree-2 limit deviates from the conserved direction by {dev:.3e}",
-                last=cur, step_size=step,
-            )
-    return cur
+    return _orbit_to_limit(op, g0, 0, conv_tol, max_iter, tol)[-1]
 
 
 @dataclass(frozen=True)
@@ -192,22 +206,21 @@ def _err_against(g, balanced, mode: NormalizationMode) -> float:
 def build_trajectory(op, g0, steps: int,
                      normalization: NormalizationMode | str = NormalizationMode.BALANCED_FIRST,
                      tol: float | None = None,
-                     balanced=None,
                      conv_tol: float = DEFAULT_CONV_TOL,
                      max_iter: int = DEFAULT_MAX_ITER) -> Trajectory:
     """Run ``steps`` applications and assemble the full Trajectory record.
 
-    The balanced limit is resolved once by continuing the iteration from the
-    final step (or taken from ``balanced`` if supplied) and every recorded
-    error is measured against it.
+    One orbit is recorded past the final step until it converges: its first
+    ``steps + 1`` items are the iterates, its last item is the balanced limit,
+    and every recorded error is measured against that limit.
     """
     if isinstance(normalization, str):
         normalization = NormalizationMode.parse(normalization)
     kind = OperatorKind.parse(op)
-    iterates = iterate(kind, g0, steps, tol=tol)
-    if balanced is None:
-        balanced = find_balanced(kind, iterates[-1], conv_tol=conv_tol,
-                                 max_iter=max_iter, tol=tol)
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    orbit = _orbit_to_limit(kind, g0, steps, conv_tol, max_iter, tol)
+    iterates, balanced = orbit[:steps + 1], orbit[-1]
     errs = tuple(_err_against(g, balanced, normalization) for g in iterates)
     ratios = tuple(
         errs[r + 1] / errs[r] if errs[r] > 0.0 else float("nan")
@@ -235,30 +248,6 @@ def build_trajectory(op, g0, steps: int,
     )
 
 
-def error_series(traj: Trajectory) -> list[float]:
-    """Distances to the balanced limit, one per recorded iterate."""
-    return list(traj.err)
-
-
-def sigma_estimate(traj: Trajectory, err_floor: float = DEFAULT_ERR_FLOOR) -> float:
-    """Latest ratio err_{r+1}/err_r whose numerator exceeds the numeric floor.
-
-    Ratios of distances below the floor are quadrature noise and are ignored.
-    Requires at least 3 iterates above the floor.
-    """
-    errs = traj.err
-    usable = [r for r in range(len(errs)) if errs[r] > err_floor]
-    if len(usable) < 3:
-        raise ConvergenceError(
-            f"only {len(usable)} iterates above the error floor {err_floor:g}; "
-            "need at least 3 for a ratio estimate"
-        )
-    r_last = usable[-1]
-    if r_last == 0:
-        raise ConvergenceError("no usable ratio: trajectory starts at the floor")
-    return errs[r_last] / errs[r_last - 1]
-
-
 def coordinate_sigma_series(traj: Trajectory, coord: int = 1) -> list[float]:
     """Per-step ratio (a_{j,r} - b_j)/(a_{j,r-1} - b_j) of one tracked
     coordinate's deviation from its limit, under the trajectory normalization.
@@ -276,33 +265,43 @@ def coordinate_sigma_series(traj: Trajectory, coord: int = 1) -> list[float]:
     return out
 
 
+def _latest_ratio(errs, err_floor: float) -> tuple[float, int]:
+    """(errs[r] / errs[r-1], r) for the latest r with errs[r] above err_floor,
+    needing 3 such errors; ratios below the floor are quadrature noise."""
+    above = [r for r, e in enumerate(errs) if e > err_floor]
+    if len(above) < 3:
+        raise ConvergenceError("trajectory reached the error floor too quickly "
+                               "for a ratio estimate")
+    r = above[-1]
+    return errs[r] / errs[r - 1], r
+
+
 def sigma_probe(op, g0, err_floor: float = DEFAULT_ERR_FLOOR,
                 tol: float | None = None, max_steps: int = 300,
                 conv_tol: float = DEFAULT_CONV_TOL,
                 max_iter: int = DEFAULT_MAX_ITER) -> tuple[float, int]:
-    """Estimate the asymptotic distance ratio by iterating until the error
-    drops to the numeric floor.
+    """Estimate the asymptotic distance ratio from one orbit run to its limit.
 
     Errors are measured under first-coefficient normalization (scale-free, so
-    the estimate is insensitive to the limit's overall scale).  Returns
+    the estimate is insensitive to the limit's overall scale), up to the
+    first one at or below err_floor and for at most max_steps steps.  Returns
     (sigma_hat, steps_used) where sigma_hat is the latest ratio whose
     numerator exceeds err_floor.
     """
+    if err_floor < 0:
+        raise ValueError("err_floor must be >= 0")
     g0 = as_metric(g0)
-    balanced = find_balanced(op, g0, conv_tol=conv_tol, max_iter=max_iter, tol=tol)
-    bal_n = _first_normalized(balanced)
+    if g0.k == 0 and OperatorKind.parse(op) is OperatorKind.TNU:
+        raise MetricError("T_nu at k=0 is the identity map: "
+                          "there is no contraction ratio to estimate")
+    orbit = _orbit_to_limit(op, g0, 0, conv_tol, max_iter, tol)
+    bal_n = _first_normalized(orbit[-1])
     errs = [distance(_first_normalized(g0), bal_n)]
-    cur = g0
-    while len(errs) <= max_steps and errs[-1] > err_floor:
-        cur = apply_step(op, cur, tol=tol)
-        errs.append(distance(_first_normalized(cur), bal_n))
-    above = [r for r in range(len(errs)) if errs[r] > err_floor]
-    if len(above) < 3 or above[-1] == 0:
-        raise ConvergenceError(
-            "trajectory reached the error floor too quickly for a ratio estimate"
-        )
-    r = above[-1]
-    return errs[r] / errs[r - 1], r
+    for g in orbit[1:]:
+        if len(errs) > max_steps or errs[-1] <= err_floor:
+            break
+        errs.append(distance(_first_normalized(g), bal_n))
+    return _latest_ratio(errs, err_floor)
 
 
 def sigma_closed_form(op, k: int, palindromic: bool = False) -> float:

@@ -1,10 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import balmet
 from balmet import DiagonalMetric, build_trajectory
 from balmet.cli import main
 
@@ -131,6 +136,21 @@ class TestValidationErrors:
         assert code == 2
         assert "numerical failure" in err
 
+    def test_numerical_failure_names_run_and_step(self, capsys):
+        code, out, err = run_cli(capsys, "iterate", "--op", "T", "--k", "2",
+                                 "--coeffs", "1,1e100,1", "--steps", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("numerical failure (T, n=1, k=2, step 0): ")
+
+    def test_sigma_at_degree_zero(self, capsys):
+        # T_nu at k=0 is the identity: there is no ratio to estimate
+        code, out, err = run_cli(capsys, "sigma", "--op", "Tnu", "--k", "0",
+                                 "--coeffs", "3")
+        assert code == 1
+        assert out == ""
+        assert "k=0" in err
+
 
 class TestSigmaCommand:
     def test_predicted_value_T6(self, capsys):
@@ -177,6 +197,18 @@ class TestReproduceCommand:
     def test_unknown_table(self, capsys):
         code, _, _ = run_cli(capsys, "reproduce", "nope")
         assert code == 1
+
+    def test_output_independent_of_blas_threads(self, tmp_path):
+        src = str(Path(balmet.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            out_path = tmp_path / f"tk_{threads}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            subprocess.run([sys.executable, "-m", "balmet.cli", "reproduce", "tk-k2",
+                            "--out", str(out_path)],
+                           env=env, check=True, capture_output=True, timeout=120)
+            outputs.append(out_path.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_mismatch_exits_3(self, capsys, monkeypatch):
         import balmet.tables as tables

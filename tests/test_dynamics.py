@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from balmet import dynamics
 from balmet import (
     BalancedFamily,
     ConvergenceError,
@@ -8,6 +9,7 @@ from balmet import (
     MetricError,
     MultiIndexMetric,
     NormalizationMode,
+    as_metric,
     balanced_coeffs,
     bound_series,
     build_trajectory,
@@ -15,13 +17,12 @@ from balmet import (
     contraction_witness,
     coordinate_sigma_series,
     distance,
-    error_series,
     find_balanced,
     iterate,
     metric_from_class_values,
     multinomial_coeffs,
+    scale,
     sigma_closed_form,
-    sigma_estimate,
     sigma_probe,
 )
 
@@ -89,24 +90,30 @@ class TestFindBalanced:
         assert exc.value.last is not None
         assert exc.value.step_size is not None
 
+    def test_trajectory_limit_continues_the_recorded_orbit(self):
+        # the limit is the same F^j(g0) that iterating on from the last
+        # recorded step reaches
+        traj = build_trajectory("TK", DiagonalMetric(np.asarray(TK_START)), steps=5)
+        again = find_balanced("TK", traj.iterates[-1])
+        assert np.array_equal(traj.balanced.coeffs, again.coeffs)
+
 
 class TestErrorSeriesAndSigma:
     def test_tk_error_series(self):
         traj = build_trajectory("TK", DiagonalMetric(np.asarray(TK_START)), steps=5)
-        errs = error_series(traj)
         want = (0.2848, 0.0640, 0.0131, 0.0026, 0.0005, 0.0001)
-        assert np.allclose(errs, want, atol=5e-4)
+        assert len(traj.err) == 6
+        assert np.allclose(traj.err, want, atol=5e-4)
 
     def test_tk_sigma_estimate(self):
-        traj = build_trajectory("TK", DiagonalMetric(np.asarray(TK_START)), steps=12)
-        sig = sigma_estimate(traj, err_floor=1e-9)
+        sig, used = sigma_probe("TK", TK_START, err_floor=1e-9)
         assert sig == pytest.approx((2 - 1) / (2 + 3), abs=0.01)
+        assert used >= 2
 
     def test_estimate_needs_usable_steps(self):
         g = balanced_coeffs(BalancedFamily(2))  # starts at the fixed point
-        traj = build_trajectory("TK", g, steps=3)
         with pytest.raises(ConvergenceError):
-            sigma_estimate(traj)
+            sigma_probe("TK", g)
 
     def test_cpn_coordinate_estimator(self):
         basis = build_basis(3, 4)
@@ -121,6 +128,44 @@ class TestErrorSeriesAndSigma:
         sig, used = sigma_probe("Tnu", (1.0, 25.0, 0.07, 13.0), err_floor=1e-8)
         assert sig == pytest.approx(0.6, abs=0.01)
         assert used > 3
+
+    def test_sigma_probe_matches_two_pass_definition(self):
+        # find the limit, then iterate from the start again until the error
+        # reaches the floor, and take the latest ratio above the floor
+        start, floor = as_metric((1.0, 25.0, 0.07, 13.0)), 1e-8
+
+        def first(g):
+            return scale(g, 1.0 / float(g.coeffs[0]))
+
+        bal = first(find_balanced("Tnu", start))
+        errs, cur = [distance(first(start), bal)], start
+        while len(errs) <= 300 and errs[-1] > floor:
+            cur = dynamics.apply_step("Tnu", cur)
+            errs.append(distance(first(cur), bal))
+        r = max(i for i, e in enumerate(errs) if e > floor)
+        assert sigma_probe("Tnu", start, err_floor=floor) == (errs[r] / errs[r - 1], r)
+
+    @pytest.mark.parametrize("op,start", [("TK", TK_START),
+                                          ("Tnu", (1.0, 25.0, 0.07, 13.0))])
+    def test_sigma_probe_applies_only_to_the_limit(self, monkeypatch, op, start):
+        calls = []
+        real = dynamics.apply_step
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "apply_step", counted)
+        find_balanced(op, start)
+        limit_apps = len(calls)
+        calls.clear()
+        sigma_probe(op, start, err_floor=1e-8)
+        assert len(calls) == limit_apps
+
+    def test_sigma_probe_rejects_negative_floor(self):
+        # every error, the limit's own 0 included, would count as above it
+        with pytest.raises(ValueError, match="err_floor"):
+            sigma_probe("TK", TK_START, err_floor=-1.0)
 
 
 class TestSigmaClosedForm:
