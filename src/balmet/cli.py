@@ -45,6 +45,7 @@ from .metrics import (
     balanced_coeffs,
     is_palindromic,
 )
+from .quadrature import DEFAULT_APPLY_TOL
 from .tables import TABLE_IDS, golden_table, reproduce
 
 EXIT_OK = 0
@@ -104,13 +105,19 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=None,
+def _add_tol(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--tol", type=float, default=DEFAULT_APPLY_TOL,
                    help="per-application quadrature tolerance")
+
+
+def _add_limit_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--conv-tol", type=float, default=DEFAULT_CONV_TOL,
                    help="balanced-limit convergence tolerance")
     p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
                    help="iteration cap for the balanced limit")
+
+
+def _add_output_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -327,11 +334,7 @@ def cmd_profile(args) -> int:
         xs = np.asarray(_parse_floats(args.xs))
     else:
         xs = np.geomspace(args.x_min, args.x_max, args.x_count)
-    if args.steps > 0:
-        kind = OperatorKind.parse(args.op)
-        iterates = iterate(kind, metric, args.steps, tol=args.tol)
-    else:
-        iterates = [metric]
+    iterates = iterate(OperatorKind.parse(args.op), metric, args.steps, tol=args.tol)
     profiles = [density_profile(g, xs) for g in iterates]
     if args.out is None:
         rows = []
@@ -359,7 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_it.add_argument("--steps", type=int, required=True)
     p_it.add_argument("--normalize", default="balanced",
                       choices=[m.value for m in NormalizationMode])
-    _add_common(p_it)
+    _add_tol(p_it)
+    _add_limit_args(p_it)
+    _add_output_args(p_it)
     p_it.set_defaults(fn=cmd_iterate)
 
     p_sig = sub.add_parser("sigma", help="estimate the convergence ratio")
@@ -374,12 +379,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="with no explicit start (CP^n): generate one of this symmetry")
     p_sig.add_argument("--seed", type=int, default=0,
                        help="seed for generated starts")
-    _add_common(p_sig)
+    _add_tol(p_sig)
+    _add_limit_args(p_sig)
+    _add_output_args(p_sig)
     p_sig.set_defaults(fn=cmd_sigma)
 
     p_rep = sub.add_parser("reproduce", help="regenerate a benchmark table")
     p_rep.add_argument("table", choices=list(TABLE_IDS))
-    _add_common(p_rep)
+    _add_output_args(p_rep)
     p_rep.set_defaults(fn=cmd_reproduce)
 
     p_prof = sub.add_parser("profile", help="export density profiles rho(x)")
@@ -390,7 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--x-min", type=float, default=1e-3)
     p_prof.add_argument("--x-max", type=float, default=1e3)
     p_prof.add_argument("--x-count", type=int, default=200)
-    _add_common(p_prof)
+    _add_tol(p_prof)
+    p_prof.add_argument("--out", default=None,
+                        help="CSV path, one file per iterate (default stdout)")
     p_prof.set_defaults(fn=cmd_profile)
     return parser
 

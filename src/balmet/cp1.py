@@ -15,6 +15,13 @@ function on [0,1] built from powers of t and 1-t and the homogenized
 polynomial Q(t) = sum_i a_i t^(3i) (1-t)^(3(k-i)).  Cubic grading keeps the
 boundary layers of badly scaled metrics (coefficient ratios of 1e10) well
 inside the node range; the operator then certifies at modest node counts.
+
+One evaluator serves all three maps: it forms Q and the weight rows
+W_q = 3 t^(3q+2) (1-t)^(3(k-q)+2) once per node count and returns
+[num, dens_0, ..., dens_k], so that a_q -> amax num / ((k+1) dens_q) with the
+coefficients scaled by amax = max a_i.  Only the function of Q integrated
+against W_q differs between the maps.  The T_nu numerator Int dx/(1+x)^2 is
+exactly 1.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import numpy as np
 from .errors import MetricError
 from .metrics import DiagonalMetric, as_cp1_metric
 from .quadrature import (
+    DEFAULT_APPLY_TOL,
     DEFAULT_NODE_CAP,
     DEFAULT_START_NODES,
     gauss_legendre_unit,
@@ -41,10 +49,7 @@ __all__ = [
     "apply_TK",
     "apply_operator",
     "density_profile",
-    "DEFAULT_APPLY_TOL",
 ]
-
-DEFAULT_APPLY_TOL = 1e-11
 
 # Grading exponent of the substitution dedicated to the operator integrands.
 _P = 3
@@ -78,76 +83,45 @@ class OperatorKind(enum.Enum):
             raise MetricError(f"T_K requires even degree k >= 2, got k={k}")
 
 
-def _power_tables(m: int, max_t: int, max_omt: int):
-    """Node vector powers t^e and (1-t)^e up to the given exponents."""
-    t, omt, w = gauss_legendre_unit(m)
-    e_t = np.arange(max_t + 1)[:, None]
-    e_o = np.arange(max_omt + 1)[:, None]
-    return t[None, :] ** e_t, omt[None, :] ** e_o, w
-
-
-def _homogenized(ah: np.ndarray, k: int, m: int, with_density: bool):
-    """Q(t), weight rows W_q, the plain 3t^2(1-t)^2 row, and optionally the
-    homogenized density numerator S(t)."""
-    top = max(6 * k, 3 * k + 3)  # covers all exponents used below, incl. k=0
-    pt, pomt, w = _power_tables(m, top, top)
-    Q = np.zeros_like(w)
-    for i in range(k + 1):
-        Q += ah[i] * pt[3 * i] * pomt[3 * (k - i)]
-    Wq = np.empty((k + 1, w.size))
-    for q in range(k + 1):
-        Wq[q] = 3.0 * pt[3 * q + 2] * pomt[3 * (k - q) + 2]
-    W0 = 3.0 * pt[2] * pomt[2]
-    S = None
-    if with_density:
-        S = np.zeros_like(w)
-        for i in range(1, k + 1):
-            for j in range(i):
-                S += (
-                    ah[i]
-                    * ah[j]
-                    * (i - j) ** 2
-                    * pt[3 * (i + j - 1)]
-                    * pomt[3 * (2 * k - 1 - i - j)]
-                )
-    return Q, Wq, W0, S, w
-
-
 def _apply_family(g, kind: OperatorKind, tol: float) -> DiagonalMetric:
     g = as_cp1_metric(g)
     k = g.k
     kind.validate_degree(k)
     amax = float(np.max(g.coeffs))
     ah = g.coeffs / amax
+    # largest power of t and of 1-t: 3k+2 in the rows W_q, 6k-6 in S (T only)
+    top = max(6 * k - 6, 3 * k + 2) if kind is OperatorKind.T else 3 * k + 2
+    e = np.arange(top + 1)[:, None]
+    q = np.arange(k + 1)
 
-    def evaluate_tnu(m: int) -> np.ndarray:
-        Q, Wq, _, _, w = _homogenized(ah, k, m, with_density=False)
-        t, omt, _ = gauss_legendre_unit(m)
-        U = t**_P + omt**_P  # homogenized (1+x)
-        return np.array([np.sum(w * Wq[q] / (U**2 * Q)) for q in range(k + 1)])
-
-    def evaluate_t(m: int) -> np.ndarray:
-        Q, Wq, W0, S, w = _homogenized(ah, k, m, with_density=True)
-        num = np.sum(w * W0 * S / Q**2)
-        dens = np.array([np.sum(w * Wq[q] * S / Q**3) for q in range(k + 1)])
+    def evaluate(m: int) -> np.ndarray:
+        """[num, dens_0, ..., dens_k] with m nodes."""
+        t, omt, w = gauss_legendre_unit(m)
+        pt, pomt = t[None, :] ** e, omt[None, :] ** e
+        Q = np.zeros_like(w)
+        for i in range(k + 1):
+            Q += ah[i] * pt[3 * i] * pomt[3 * (k - i)]
+        wW = w * (3.0 * pt[3 * q + 2] * pomt[3 * (k - q) + 2])  # rows w * W_q
+        W0 = 3.0 * pt[2] * pomt[2]
+        if kind is OperatorKind.TNU:
+            num = 1.0  # Int dx / (1+x)^2; t^3 + (1-t)^3 homogenizes 1+x
+            dens = np.sum(wW / ((t**_P + omt**_P) ** 2 * Q), axis=1)
+        elif kind is OperatorKind.T:
+            S = np.zeros_like(w)  # homogenized density numerator
+            for i in range(1, k + 1):
+                for j in range(i):
+                    S += (ah[i] * ah[j] * (i - j) ** 2
+                          * pt[3 * (i + j - 1)] * pomt[3 * (2 * k - 1 - i - j)])
+            num = np.sum(w * W0 * S / Q**2)
+            dens = np.sum(wW * S / Q**3, axis=1)
+        else:
+            lnQ = np.log(Q)  # fractional powers of the positive Q via exp/log
+            num = np.sum(w * W0 * np.exp((-2.0 / k) * lnQ))
+            dens = np.sum(wW * np.exp((-1.0 - 2.0 / k) * lnQ), axis=1)
         return np.concatenate(([num], dens))
 
-    def evaluate_tk(m: int) -> np.ndarray:
-        Q, Wq, W0, _, w = _homogenized(ah, k, m, with_density=False)
-        # fractional powers via exp/log of the positive polynomial value
-        lnQ = np.log(Q)
-        num = np.sum(w * W0 * np.exp((-2.0 / k) * lnQ))
-        fk = np.exp((-1.0 - 2.0 / k) * lnQ)
-        dens = np.array([np.sum(w * Wq[q] * fk) for q in range(k + 1)])
-        return np.concatenate(([num], dens))
-
-    evaluate = {OperatorKind.T: evaluate_t, OperatorKind.TNU: evaluate_tnu,
-                OperatorKind.TK: evaluate_tk}[kind]
     vals, _ = refine_by_doubling(evaluate, tol, DEFAULT_START_NODES[1], DEFAULT_NODE_CAP[1])
-    if kind is OperatorKind.TNU:
-        return DiagonalMetric(amax / ((k + 1) * vals))
-    num, dens = vals[0], vals[1:]
-    return DiagonalMetric(amax * num / ((k + 1) * dens))
+    return DiagonalMetric(amax * vals[0] / ((k + 1) * vals[1:]))
 
 
 def apply_T(g, tol: float = DEFAULT_APPLY_TOL) -> DiagonalMetric:

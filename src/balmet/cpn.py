@@ -33,6 +33,7 @@ import numpy as np
 from .errors import MetricError
 from .metrics import MultiIndexMetric
 from .quadrature import (
+    DEFAULT_APPLY_TOL,
     DEFAULT_NODE_CAP,
     DEFAULT_START_NODES,
     gauss_legendre_unit,
@@ -52,10 +53,7 @@ __all__ = [
     "multinomial_coeffs",
     "full_symmetry_orbits",
     "metric_from_class_values",
-    "DEFAULT_APPLY_TOL_CPN",
 ]
-
-DEFAULT_APPLY_TOL_CPN = 1e-11
 
 _SUPPORTED_N = (1, 2, 3)
 
@@ -240,18 +238,14 @@ def metric_from_class_values(basis: MonomialBasis, values) -> MultiIndexMetric:
     return MultiIndexMetric(basis, coeffs)
 
 
-def _duffy_axis_exponents(alpha: tuple[int, ...], k: int, n: int,
-                          with_jacobian: bool) -> list[tuple[int, int]]:
+def _duffy_axis_exponents(alpha: tuple[int, ...], k: int) -> list[tuple[int, int]]:
     """Per-axis (t-power, (1-t)-power) of the Duffy pullback of
-    u^alpha s^(k-|alpha|) (times the Duffy Jacobian when requested)."""
+    u^alpha s^(k-|alpha|)."""
     out = []
     partial = 0
-    for axis in range(n):
-        partial += alpha[axis]
-        e_omt = k - partial
-        if with_jacobian:
-            e_omt += n - (axis + 1)
-        out.append((alpha[axis], e_omt))
+    for a in alpha:
+        partial += a
+        out.append((a, k - partial))
     return out
 
 
@@ -264,7 +258,7 @@ def _tensor_product(factors: list[np.ndarray]) -> np.ndarray:
 
 def apply_Tnu_cpn(
     metric: MultiIndexMetric,
-    tol: float = DEFAULT_APPLY_TOL_CPN,
+    tol: float = DEFAULT_APPLY_TOL,
 ) -> MultiIndexMetric:
     """One T_nu application on a torus-invariant metric over CP^n, n in 1..3.
 
@@ -285,12 +279,10 @@ def apply_Tnu_cpn(
     orbits = classify_symmetry(metric, tol=0.0).orbits
     reps = [orbit[0] for orbit in orbits]
 
-    denom_exp = [
-        _duffy_axis_exponents(alpha, k, n, with_jacobian=False)
-        for alpha in basis.exponents
-    ]
+    denom_exp = [_duffy_axis_exponents(alpha, k) for alpha in basis.exponents]
+    # the Duffy Jacobian adds (1-t)^(n-1-axis) on each axis of a numerator
     numer_exp = [
-        _duffy_axis_exponents(basis.exponents[i], k, n, with_jacobian=True)
+        [(et, eo + n - 1 - axis) for axis, (et, eo) in enumerate(denom_exp[i])]
         for i in reps
     ]
 

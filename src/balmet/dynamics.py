@@ -25,6 +25,7 @@ from .metrics import MultiIndexMetric, as_metric, distance, is_palindromic, scal
 from .metrics import predict_balanced_direction_k2
 from .cp1 import OperatorKind
 from .cpn import classify_symmetry, sigma_predict_cpn
+from .quadrature import DEFAULT_APPLY_TOL
 
 __all__ = [
     "NormalizationMode",
@@ -74,7 +75,7 @@ def _first_normalized(g):
     return scale(g, 1.0 / float(g.coeffs[0]))
 
 
-def apply_step(op, g, tol: float | None = None):
+def apply_step(op, g, tol: float = DEFAULT_APPLY_TOL):
     """Apply one operator step, dispatching on the metric type.
 
     DiagonalMetric goes through the CP^1 maps; MultiIndexMetric supports the
@@ -83,11 +84,11 @@ def apply_step(op, g, tol: float | None = None):
     if isinstance(g, MultiIndexMetric):
         if OperatorKind.parse(op) is not OperatorKind.TNU:
             raise MetricError("only the T_nu map is defined on CP^n metrics here")
-        return cpn.apply_Tnu_cpn(g, tol=tol if tol is not None else cpn.DEFAULT_APPLY_TOL_CPN)
-    return cp1.apply_operator(op, g, tol=tol if tol is not None else cp1.DEFAULT_APPLY_TOL)
+        return cpn.apply_Tnu_cpn(g, tol=tol)
+    return cp1.apply_operator(op, g, tol=tol)
 
 
-def _orbit(op, g0, tol: float | None):
+def _orbit(op, g0, tol: float):
     """Yield the orbit g0, F(g0), F^2(g0), ... without end.  Every application
     in this module runs here; a failing one gets its input's index attached
     as ``step_index``."""
@@ -102,10 +103,12 @@ def _orbit(op, g0, tol: float | None):
 
 
 def _orbit_to_limit(op, g0, steps: int, conv_tol: float, max_iter: int,
-                    tol: float | None) -> list:
+                    tol: float) -> list:
     """The orbit [g0, ..., F^j(g0)] up to its balanced limit F^j(g0): the
     first item after F^steps(g0) that meets the ``find_balanced`` criterion,
     within max_iter further applications, and passes its degree-2 check."""
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     orbit = []
     step = float("inf")
     for r, g in enumerate(_orbit(op, g0, tol)):
@@ -134,16 +137,16 @@ def _orbit_to_limit(op, g0, steps: int, conv_tol: float, max_iter: int,
     return orbit
 
 
-def iterate(op, g0, steps: int, tol: float | None = None) -> list:
+def iterate(op, g0, steps: int, tol: float = DEFAULT_APPLY_TOL) -> list:
     """The orbit [g0, F(g0), ..., F^steps(g0)].  A failing application's
     exception propagates with the index of its input as ``step_index``."""
     if steps < 0:
-        raise ValueError("steps must be >= 0")
+        raise ValueError(f"steps must be >= 0, got {steps}")
     return list(islice(_orbit(op, g0, tol), steps + 1))
 
 
 def find_balanced(op, g0, conv_tol: float = DEFAULT_CONV_TOL,
-                  max_iter: int = DEFAULT_MAX_ITER, tol: float | None = None):
+                  max_iter: int = DEFAULT_MAX_ITER, tol: float = DEFAULT_APPLY_TOL):
     """Iterate the operator to numerical convergence; return the last iterate.
 
     Convergence is declared when successive first-coefficient-normalized
@@ -205,7 +208,7 @@ def _err_against(g, balanced, mode: NormalizationMode) -> float:
 
 def build_trajectory(op, g0, steps: int,
                      normalization: NormalizationMode | str = NormalizationMode.BALANCED_FIRST,
-                     tol: float | None = None,
+                     tol: float = DEFAULT_APPLY_TOL,
                      conv_tol: float = DEFAULT_CONV_TOL,
                      max_iter: int = DEFAULT_MAX_ITER) -> Trajectory:
     """Run ``steps`` applications and assemble the full Trajectory record.
@@ -218,7 +221,7 @@ def build_trajectory(op, g0, steps: int,
         normalization = NormalizationMode.parse(normalization)
     kind = OperatorKind.parse(op)
     if steps < 0:
-        raise ValueError("steps must be >= 0")
+        raise ValueError(f"steps must be >= 0, got {steps}")
     orbit = _orbit_to_limit(kind, g0, steps, conv_tol, max_iter, tol)
     iterates, balanced = orbit[:steps + 1], orbit[-1]
     errs = tuple(_err_against(g, balanced, normalization) for g in iterates)
@@ -277,19 +280,22 @@ def _latest_ratio(errs, err_floor: float) -> tuple[float, int]:
 
 
 def sigma_probe(op, g0, err_floor: float = DEFAULT_ERR_FLOOR,
-                tol: float | None = None, max_steps: int = 300,
+                tol: float = DEFAULT_APPLY_TOL, max_steps: int = 300,
                 conv_tol: float = DEFAULT_CONV_TOL,
                 max_iter: int = DEFAULT_MAX_ITER) -> tuple[float, int]:
     """Estimate the asymptotic distance ratio from one orbit run to its limit.
 
     Errors are measured under first-coefficient normalization (scale-free, so
     the estimate is insensitive to the limit's overall scale), up to the
-    first one at or below err_floor and for at most max_steps steps.  Returns
-    (sigma_hat, steps_used) where sigma_hat is the latest ratio whose
+    first one at or below err_floor and for at most max_steps (>= 2) steps.
+    Returns (sigma_hat, steps_used) where sigma_hat is the latest ratio whose
     numerator exceeds err_floor.
     """
     if err_floor < 0:
         raise ValueError("err_floor must be >= 0")
+    if max_steps < 2:
+        raise ValueError(f"max_steps must be >= 2 (a ratio needs three errors), "
+                         f"got {max_steps}")
     g0 = as_metric(g0)
     if g0.k == 0 and OperatorKind.parse(op) is OperatorKind.TNU:
         raise MetricError("T_nu at k=0 is the identity map: "
@@ -350,7 +356,7 @@ def bound_series(traj: Trajectory) -> list[tuple[float, float, bool]]:
     ]
 
 
-def contraction_witness(op, g, tol: float | None = None,
+def contraction_witness(op, g, tol: float = DEFAULT_APPLY_TOL,
                         err_floor: float = DEFAULT_ERR_FLOOR,
                         conv_tol: float = DEFAULT_CONV_TOL,
                         max_iter: int = DEFAULT_MAX_ITER) -> tuple[float, float, bool]:

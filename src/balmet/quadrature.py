@@ -33,12 +33,14 @@ __all__ = [
     "refine_by_doubling",
     "DEFAULT_START_NODES",
     "DEFAULT_NODE_CAP",
+    "DEFAULT_APPLY_TOL",
 ]
 
-# Per-dimension defaults of the operator maps: starting nodes per axis and
-# the per-axis cap.
+# Defaults of the operator maps: starting nodes per axis and the per-axis cap
+# (by dimension), and the relative tolerance of one application.
 DEFAULT_START_NODES = {1: 64, 2: 64, 3: 48}
 DEFAULT_NODE_CAP = {1: 2048, 2: 512, 3: 192}
+DEFAULT_APPLY_TOL = 1e-11
 
 
 def _legendre_pair(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -119,20 +121,16 @@ def refine_by_doubling(
         prev = cur
 
 
-def integrate_semi_infinite(
-    f: Callable,
-    rel_tol: float = 1e-11,
-    m0: int = DEFAULT_START_NODES[1],
-    m_cap: int = DEFAULT_NODE_CAP[1],
-) -> tuple[float, float]:
+def integrate_semi_infinite(f: Callable, rel_tol: float = 1e-11) -> tuple[float, float]:
     """Integrate f over (0,infinity) to a certified relative tolerance.
 
     The half line is mapped onto (0,1) by x = t/(1-t) and integrated with
-    ``gauss_legendre_unit`` nodes, certified by ``refine_by_doubling``.  f
-    receives a 1-d array of x values and must return one value per point.
-    Returns (value, err_est) where err_est is the relative disagreement of the
-    final two node counts.  The integrand must decay algebraically; it is
-    evaluated at mapped Gauss-Legendre nodes, never at 0 or infinity.
+    ``gauss_legendre_unit`` nodes, certified by ``refine_by_doubling`` from
+    the CP^1 start and cap.  f receives a 1-d array of x values and must
+    return one value per point.  Returns (value, err_est) where err_est is the
+    relative disagreement of the final two node counts.  The integrand must
+    decay algebraically; it is evaluated at mapped Gauss-Legendre nodes, never
+    at 0 or infinity.
     """
 
     def evaluate(m: int) -> np.ndarray:
@@ -145,5 +143,6 @@ def integrate_semi_infinite(
             raise QuadratureError("integrand returned non-finite values")
         return np.array([np.sum(vals * (w / omt**2))])
 
-    values, err = refine_by_doubling(evaluate, rel_tol, m0, m_cap)
+    values, err = refine_by_doubling(evaluate, rel_tol, DEFAULT_START_NODES[1],
+                                     DEFAULT_NODE_CAP[1])
     return float(values[0]), float(err[0])

@@ -79,7 +79,7 @@ class TestIterate:
         assert payload["meta"]["n"] == 1
         assert payload["meta"]["k"] == 3
         assert payload["meta"]["normalization"] == "balanced"
-        assert "tolerances" in payload["meta"]
+        assert payload["meta"]["tolerances"] == {"apply": 1e-11, "conv": 1e-13}
         assert len(payload["rows"]) == 3
         row0 = payload["rows"][0]
         assert set(row0) == {"r", "coeffs", "err", "sigma_tilde", "bnd"}
@@ -143,6 +143,31 @@ class TestValidationErrors:
         assert out == ""
         assert err.startswith("numerical failure (T, n=1, k=2, step 0): ")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sigma", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--steps", "-1"],
+         "max_steps must be >= 2 (a ratio needs three errors), got -1"),
+        (["sigma", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--steps", "1"],
+         "max_steps must be >= 2 (a ratio needs three errors), got 1"),
+        (["sigma", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--max-iter", "-1"],
+         "max_iter must be >= 0, got -1"),
+        (["iterate", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--steps", "2",
+          "--max-iter", "-1"], "max_iter must be >= 0, got -1"),
+        (["profile", "--op", "T", "--k", "2", "--coeffs", "1,2,1", "--steps", "-1"],
+         "steps must be >= 0, got -1"),
+    ], ids=["sigma-steps", "sigma-one-step", "sigma-max-iter", "iterate-max-iter",
+            "profile-steps"])
+    def test_run_limit_out_of_range(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert message in err
+
+    def test_profile_checks_operator_without_steps(self, capsys):
+        code, out, _ = run_cli(capsys, "profile", "--op", "Q", "--k", "2",
+                               "--coeffs", "1,2,1")
+        assert code == 1
+        assert out == ""
+
     def test_sigma_at_degree_zero(self, capsys):
         # T_nu at k=0 is the identity: there is no ratio to estimate
         code, out, err = run_cli(capsys, "sigma", "--op", "Tnu", "--k", "0",
@@ -194,20 +219,34 @@ class TestReproduceCommand:
         assert header == ["r", "a0", "a1", "a2", "dist", "bnd"]
         assert len(rows) == 6
 
+    @pytest.mark.parametrize("flag", ["--tol", "--conv-tol", "--max-iter"])
+    def test_rejects_flags_it_does_not_read(self, capsys, flag):
+        code, out, err = run_cli(capsys, "reproduce", "tk-k2", flag, "1e-3")
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments" in err
+
     def test_unknown_table(self, capsys):
         code, _, _ = run_cli(capsys, "reproduce", "nope")
         assert code == 1
 
-    def test_output_independent_of_blas_threads(self, tmp_path):
+    @pytest.mark.parametrize("argv, to_file", [
+        # reproduce prints its elapsed time, so its output file is compared
+        (["reproduce", "tk-k2"], True),
+        (["iterate", "--op", "Tnu", "--n", "2", "--k", "2",
+          "--coeffs", "1,2,2,1,2,1", "--steps", "2"], False),
+    ], ids=["tk-k2", "cpn-tnu"])
+    def test_output_independent_of_blas_threads(self, tmp_path, argv, to_file):
         src = str(Path(balmet.__file__).resolve().parents[1])
         outputs = []
         for threads in ("1", "2"):
-            out_path = tmp_path / f"tk_{threads}.csv"
+            out_path = tmp_path / f"out_{threads}.csv"
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
-            subprocess.run([sys.executable, "-m", "balmet.cli", "reproduce", "tk-k2",
-                            "--out", str(out_path)],
-                           env=env, check=True, capture_output=True, timeout=120)
-            outputs.append(out_path.read_bytes())
+            cmd = [sys.executable, "-m", "balmet.cli"] + argv
+            proc = subprocess.run(cmd + (["--out", str(out_path)] if to_file else []),
+                                  env=env, check=True, capture_output=True, timeout=120)
+            outputs.append(out_path.read_bytes() if to_file else proc.stdout)
+        assert outputs[0]
         assert outputs[0] == outputs[1]
 
     def test_mismatch_exits_3(self, capsys, monkeypatch):
@@ -263,6 +302,15 @@ class TestProfileCommand:
         _, rows = parse_csv(out)
         # rho(1/x) = x^2 rho(x) pairs the two sample points
         assert rows[1][2] == pytest.approx(rows[0][2] / 16.0, rel=1e-11)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--conv-tol", "1e-3"), ("--max-iter", "5"), ("--format", "json")])
+    def test_rejects_flags_it_does_not_read(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "profile", "--op", "T", "--k", "2",
+                                 "--coeffs", "1,2,1", flag, value)
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments" in err
 
     def test_rejects_cpn(self, capsys):
         code, _, _ = run_cli(capsys, "profile", "--op", "Tnu", "--n", "2",

@@ -102,7 +102,7 @@ class TestSemiInfinite:
     def test_nonconvergence_carries_best(self):
         # 1/(1+x) is not integrable; certification can never succeed
         with pytest.raises(QuadratureError) as exc:
-            integrate_semi_infinite(lambda x: 1.0 / (1 + x), m_cap=256)
+            integrate_semi_infinite(lambda x: 1.0 / (1 + x))
         assert exc.value.best is not None
 
     def test_bad_tolerance(self):
@@ -113,7 +113,7 @@ class TestSemiInfinite:
 
     def test_shape_mismatch_detected(self):
         with pytest.raises(ValueError):
-            integrate_semi_infinite(lambda x: np.ones((3, 2)), m0=4, m_cap=8)
+            integrate_semi_infinite(lambda x: np.ones((3, 2)))
 
 
 class TestRefineDriver:
