@@ -136,13 +136,17 @@ def _add_metric_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--c", type=float, default=1.0, help="binomial family parameter")
 
 
+def _check_dimensions(args) -> None:
+    if args.n < 1 or args.n > 3:
+        raise MetricError(f"projective dimension n={args.n} unsupported; expected 1..3")
+    if args.k < 0:
+        raise MetricError("k must be nonnegative")
+
+
 def _build_start(args):
     """Returns (metric, class_indices or None)."""
+    _check_dimensions(args)
     n, k = args.n, args.k
-    if n < 1 or n > 3:
-        raise MetricError(f"projective dimension n={n} unsupported; expected 1..3")
-    if k < 0:
-        raise MetricError("k must be nonnegative")
     if n == 1:
         if args.class_coeffs:
             raise MetricError("--class-coeffs applies to CP^n with n >= 2")
@@ -229,10 +233,14 @@ def cmd_iterate(args) -> int:
 
 
 def cmd_sigma(args) -> int:
-    if args.coeffs or args.class_coeffs or args.family:
-        metric, _ = _build_start(args)
-    else:
-        metric = _random_start(args)
+    explicit = bool(args.coeffs or args.class_coeffs or args.family)
+    # the generator flags are read only for a generated start of their dimension
+    for flag, value, reads, space in (
+            ("--palindromic", args.palindromic, args.n == 1, "CP^1"),
+            ("--symmetric", args.symmetric, args.n >= 2, "CP^n with n >= 2")):
+        if value is not None and (explicit or not reads):
+            raise MetricError(f"{flag} applies only to a generated start on {space}")
+    metric = _build_start(args)[0] if explicit else _random_start(args)
     kind = OperatorKind.parse(args.op)
     predicted, regime = sigma_law(kind, metric)
     sigma_hat, used = sigma_probe(kind, metric, err_floor=args.err_floor,
@@ -257,6 +265,7 @@ def cmd_sigma(args) -> int:
 
 
 def _random_start(args):
+    _check_dimensions(args)
     rng = np.random.default_rng(args.seed)
     n, k = args.n, args.k
     if n == 1:

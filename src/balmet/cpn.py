@@ -19,6 +19,11 @@ degree-k monomials in (s, u), hence bounded away from zero on the closed
 simplex, so the integrand is analytic there and a Duffy-type tensor map onto
 the unit box integrates it to near machine accuracy at small node counts.
 The round (multinomial) metric makes D identically 1 and is fixed exactly.
+
+After the Duffy map every term of D and every numerator is a product of
+one-axis factors t^e (1-t)^f, so each rule level is two tensor contractions:
+D = sum_p a_p prod_j F_j[p] over the node grid, then each numerator's
+per-axis factors (Jacobian and weights included) against 1/D.
 """
 
 from __future__ import annotations
@@ -238,24 +243,6 @@ def metric_from_class_values(basis: MonomialBasis, values) -> MultiIndexMetric:
     return MultiIndexMetric(basis, coeffs)
 
 
-def _duffy_axis_exponents(alpha: tuple[int, ...], k: int) -> list[tuple[int, int]]:
-    """Per-axis (t-power, (1-t)-power) of the Duffy pullback of
-    u^alpha s^(k-|alpha|)."""
-    out = []
-    partial = 0
-    for a in alpha:
-        partial += a
-        out.append((a, k - partial))
-    return out
-
-
-def _tensor_product(factors: list[np.ndarray]) -> np.ndarray:
-    grid = factors[0]
-    for f in factors[1:]:
-        grid = np.multiply.outer(grid, f)
-    return grid
-
-
 def apply_Tnu_cpn(
     metric: MultiIndexMetric,
     tol: float = DEFAULT_APPLY_TOL,
@@ -279,29 +266,26 @@ def apply_Tnu_cpn(
     orbits = classify_symmetry(metric, tol=0.0).orbits
     reps = [orbit[0] for orbit in orbits]
 
-    denom_exp = [_duffy_axis_exponents(alpha, k) for alpha in basis.exponents]
-    # the Duffy Jacobian adds (1-t)^(n-1-axis) on each axis of a numerator
-    numer_exp = [
-        [(et, eo + n - 1 - axis) for axis, (et, eo) in enumerate(denom_exp[i])]
-        for i in reps
-    ]
+    # Duffy pullback of u^alpha s^(k-|alpha|): t^alpha_j (1-t)^(k - alpha_1 -
+    # ... - alpha_j) on axis j; the numerators add the Jacobian (1-t)^(n-1-j)
+    t_pow = np.array(basis.exponents)
+    omt_pow = k - np.cumsum(t_pow, axis=1)
+    num_t_pow, num_omt_pow = t_pow[reps], omt_pow[reps] + np.arange(n - 1, -1, -1)
+    axes = "abc"[:n]
+    denom_spec = ",".join("p" + ax for ax in axes) + "->" + axes
+    numer_spec = ",".join("i" + ax for ax in axes) + "," + axes + "->i"
 
     def evaluate(m: int) -> np.ndarray:
         t, omt, w = gauss_legendre_unit(m)
-        max_e = k + n  # largest (1-t) exponent that occurs
         pt = t[None, :] ** np.arange(k + 1)[:, None]
-        pomt = omt[None, :] ** np.arange(max_e + 1)[:, None]
-        D = np.zeros((m,) * n)
-        for p in range(N):
-            D += ah[p] * _tensor_product(
-                [pt[et] * pomt[eo] for (et, eo) in denom_exp[p]]
-            )
-        R = 1.0 / D
-        vals = np.empty(len(reps))
-        for idx, exps in enumerate(numer_exp):
-            numer = _tensor_product([pt[et] * pomt[eo] * w for (et, eo) in exps])
-            vals[idx] = np.sum(numer * R)
-        return vals
+        pomt = omt[None, :] ** np.arange(k + n)[:, None]
+        # D = sum_p ah_p prod_j f_pj(t_j), then every representative numerator
+        # (weights included) against 1/D: two contractions over the node grid
+        denom = [pt[t_pow[:, j]] * pomt[omt_pow[:, j]] for j in range(n)]
+        denom[0] = ah[:, None] * denom[0]
+        R = 1.0 / np.einsum(denom_spec, *denom, optimize=True)
+        numer = [pt[num_t_pow[:, j]] * pomt[num_omt_pow[:, j]] * w for j in range(n)]
+        return np.einsum(numer_spec, *numer, R, optimize=True)
 
     integrals, _ = refine_by_doubling(evaluate, tol, DEFAULT_START_NODES[n], DEFAULT_NODE_CAP[n])
     rep_out = amax / (N * factorial(n) * integrals)

@@ -208,6 +208,24 @@ class TestSigmaCommand:
         assert report["regime"] == "generic"
         assert abs(report["abs_difference"]) < 0.01
 
+    def test_generated_start_checks_dimension_first(self, capsys):
+        # rejected before any (n+1)! permutation scan
+        code, out, err = run_cli(capsys, "sigma", "--op", "Tnu", "--n", "8", "--k", "1")
+        assert code == 1
+        assert out == ""
+        assert "expected 1..3" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--k", "2", "--coeffs", "1,3,1", "--palindromic", "false"], "--palindromic"),
+        (["--n", "2", "--k", "2", "--palindromic", "true"], "--palindromic"),
+        (["--k", "2", "--symmetric", "true"], "--symmetric"),
+    ], ids=["explicit-start", "palindromic-cp2", "symmetric-cp1"])
+    def test_rejects_generator_flags_it_does_not_read(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, "sigma", "--op", "Tnu", *argv)
+        assert code == 1
+        assert out == ""
+        assert flag in err
+
 
 class TestReproduceCommand:
     def test_tk_table_passes(self, capsys, tmp_path):
@@ -235,7 +253,9 @@ class TestReproduceCommand:
         (["reproduce", "tk-k2"], True),
         (["iterate", "--op", "Tnu", "--n", "2", "--k", "2",
           "--coeffs", "1,2,2,1,2,1", "--steps", "2"], False),
-    ], ids=["tk-k2", "cpn-tnu"])
+        (["iterate", "--op", "Tnu", "--n", "3", "--k", "4", "--class-coeffs",
+          "1,20,30,40,50", "--steps", "2", "--normalize", "first"], False),
+    ], ids=["tk-k2", "cpn-tnu", "cp3-tnu"])
     def test_output_independent_of_blas_threads(self, tmp_path, argv, to_file):
         src = str(Path(balmet.__file__).resolve().parents[1])
         outputs = []

@@ -234,3 +234,50 @@ class TestSigmaPrediction:
     def test_bad_args(self):
         with pytest.raises(ValueError):
             sigma_predict_cpn(0, 2, True)
+
+
+class TestAgainstReferences:
+    def test_cp3_matches_pointwise_duffy_rule(self):
+        # the same rule, but the Duffy-mapped integrand evaluated point by
+        # point on the node grid instead of factored per axis
+        from balmet.quadrature import gauss_legendre_unit
+
+        metric = random_cpn_metric(np.random.default_rng(30), 3, 2)
+        k, N = metric.basis.k, metric.basis.size
+        t, omt, w = gauss_legendre_unit(96)
+        t1, t2, t3 = np.meshgrid(t, t, t, indexing="ij")
+        o1, o2, o3 = np.meshgrid(omt, omt, omt, indexing="ij")
+        u = (t1, o1 * t2, o1 * o2 * t3)
+        s = o1 * o2 * o3
+        weight = np.einsum("a,b,c->abc", w, w, w) * o1**2 * o2
+
+        def monomial(alpha):
+            return u[0]**alpha[0] * u[1]**alpha[1] * u[2]**alpha[2] * s**(k - sum(alpha))
+
+        D = sum(a * monomial(alpha) for a, alpha in zip(metric.coeffs, metric.basis.exponents))
+        want = np.array([1.0 / (N * 6 * np.sum(weight * monomial(alpha) / D))
+                         for alpha in metric.basis.exponents])
+        got = apply_Tnu_cpn(metric).coeffs
+        assert np.max(np.abs(got - want) / want) < 1e-13
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_cp2_matches_adaptive_quadrature(self, k):
+        # the defining integral over (0,inf)^2, by scipy's adaptive rule: no
+        # homogeneous coordinates, no Duffy map, no Gauss-Legendre nodes
+        from scipy.integrate import dblquad
+
+        metric = random_cpn_metric(np.random.default_rng(20 + k), 2, k)
+        exps = metric.basis.exponents
+
+        def density(y, x):
+            D = sum(a * x**e1 * y**e2 for a, (e1, e2) in zip(metric.coeffs, exps))
+            return 1.0 / (D * (1.0 + x + y) ** 3)
+
+        N = metric.basis.size
+        want = np.empty(N)
+        for i, (e1, e2) in enumerate(exps):
+            val, _ = dblquad(lambda y, x: x**e1 * y**e2 * density(y, x),
+                             0, np.inf, 0, np.inf, epsabs=0, epsrel=1e-12)
+            want[i] = 1.0 / (N * 2 * val)
+        got = apply_Tnu_cpn(metric).coeffs
+        assert np.max(np.abs(got - want) / want) < 1e-11
