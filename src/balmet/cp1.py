@@ -16,18 +16,23 @@ polynomial Q(t) = sum_i a_i t^(3i) (1-t)^(3(k-i)).  Cubic grading keeps the
 boundary layers of badly scaled metrics (coefficient ratios of 1e10) well
 inside the node range; the operator then certifies at modest node counts.
 
-One evaluator serves all three maps: it forms Q and the weight rows
-W_q = 3 t^(3q+2) (1-t)^(3(k-q)+2) once per node count and returns
-[num, dens_0, ..., dens_k], so that a_q -> amax num / ((k+1) dens_q) with the
-coefficients scaled by amax = max a_i.  Only the function of Q integrated
-against W_q differs between the maps.  The T_nu numerator Int dx/(1+x)^2 is
-exactly 1.
+None of these powers depends on the metric: the cached, read-only table
+``_rows(d, m)`` holds t^(3j) (1-t)^(3(d-j)), j = 0..d, at the m nodes, and
+``_node_weights(m)`` the row w0 = w 3t^2 (1-t)^2 and the T_nu factor
+1/(t^3+(1-t)^3)^2.  With the coefficients scaled by amax = max a_i, one
+evaluator serves all three maps: Q = a @ _rows(k, m), and as the weight rows
+are W_q = 3t^2 (1-t)^2 row_q, dens = _rows(k, m) @ (w0 f(Q)) for a per-map f.
+It returns [num, dens_0, ..., dens_k], so that a_q -> amax num / ((k+1)
+dens_q).  The T_nu numerator Int dx/(1+x)^2 is exactly 1; the density
+numerator of T homogenizes to S = c @ _rows(2k-2, m), with c_s the
+coefficient of x^s in sum_{i>j} a_i a_j (i-j)^2 x^(i+j-1).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,42 +88,53 @@ class OperatorKind(enum.Enum):
             raise MetricError(f"T_K requires even degree k >= 2, got k={k}")
 
 
+@lru_cache(maxsize=64)
+def _rows(d: int, m: int) -> np.ndarray:
+    """Rows t^(3j) (1-t)^(3(d-j)), j = 0..d, at the m nodes (read-only)."""
+    t, omt, _ = gauss_legendre_unit(m)
+    j = np.arange(d + 1)[:, None]
+    rows = t[None, :] ** (_P * j) * omt[None, :] ** (_P * (d - j))
+    rows.flags.writeable = False
+    return rows
+
+
+@lru_cache(maxsize=64)
+def _node_weights(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weight row w 3t^2 (1-t)^2 and T_nu factor at the m nodes (read-only)."""
+    t, omt, w = gauss_legendre_unit(m)
+    w0, nu = w * (3.0 * t**2 * omt**2), 1.0 / (t**_P + omt**_P) ** 2
+    w0.flags.writeable = nu.flags.writeable = False
+    return w0, nu
+
+
+def _density_coeffs(a: np.ndarray) -> np.ndarray:
+    """c_s, s = 0..2k-2, with sum_{i>j} a_i a_j (i-j)^2 x^(i+j-1) = sum_s c_s x^s."""
+    i, j = np.tril_indices(a.size, -1)
+    return np.bincount(i + j - 1, weights=a[i] * a[j] * (i - j) ** 2)
+
+
 def _apply_family(g, kind: OperatorKind, tol: float) -> DiagonalMetric:
     g = as_cp1_metric(g)
     k = g.k
     kind.validate_degree(k)
     amax = float(np.max(g.coeffs))
     ah = g.coeffs / amax
-    # largest power of t and of 1-t: 3k+2 in the rows W_q, 6k-6 in S (T only)
-    top = max(6 * k - 6, 3 * k + 2) if kind is OperatorKind.T else 3 * k + 2
-    e = np.arange(top + 1)[:, None]
-    q = np.arange(k + 1)
+    c = _density_coeffs(ah) if kind is OperatorKind.T else None
 
     def evaluate(m: int) -> np.ndarray:
         """[num, dens_0, ..., dens_k] with m nodes."""
-        t, omt, w = gauss_legendre_unit(m)
-        pt, pomt = t[None, :] ** e, omt[None, :] ** e
-        Q = np.zeros_like(w)
-        for i in range(k + 1):
-            Q += ah[i] * pt[3 * i] * pomt[3 * (k - i)]
-        wW = w * (3.0 * pt[3 * q + 2] * pomt[3 * (k - q) + 2])  # rows w * W_q
-        W0 = 3.0 * pt[2] * pomt[2]
+        w0, nu = _node_weights(m)
+        rows = _rows(k, m)
+        Q = ah @ rows
         if kind is OperatorKind.TNU:
-            num = 1.0  # Int dx / (1+x)^2; t^3 + (1-t)^3 homogenizes 1+x
-            dens = np.sum(wW / ((t**_P + omt**_P) ** 2 * Q), axis=1)
+            num, f = 1.0, nu / Q  # Int dx / (1+x)^2; t^3 + (1-t)^3 homogenizes 1+x
         elif kind is OperatorKind.T:
-            S = np.zeros_like(w)  # homogenized density numerator
-            for i in range(1, k + 1):
-                for j in range(i):
-                    S += (ah[i] * ah[j] * (i - j) ** 2
-                          * pt[3 * (i + j - 1)] * pomt[3 * (2 * k - 1 - i - j)])
-            num = np.sum(w * W0 * S / Q**2)
-            dens = np.sum(wW * S / Q**3, axis=1)
+            SQ2 = c @ _rows(2 * k - 2, m) / Q / Q  # S/Q^2 in steps: Q^3 can underflow
+            num, f = np.sum(w0 * SQ2), SQ2 / Q
         else:
-            lnQ = np.log(Q)  # fractional powers of the positive Q via exp/log
-            num = np.sum(w * W0 * np.exp((-2.0 / k) * lnQ))
-            dens = np.sum(wW * np.exp((-1.0 - 2.0 / k) * lnQ), axis=1)
-        return np.concatenate(([num], dens))
+            QK = np.exp((-2.0 / k) * np.log(Q))  # fractional power of the positive Q
+            num, f = np.sum(w0 * QK), QK / Q
+        return np.concatenate(([num], rows @ (w0 * f)))
 
     vals, _ = refine_by_doubling(evaluate, tol, DEFAULT_START_NODES[1], DEFAULT_NODE_CAP[1])
     return DiagonalMetric(amax * vals[0] / ((k + 1) * vals[1:]))
@@ -177,7 +193,6 @@ def density_profile(g, xs) -> DensityProfile:
     for i in range(k + 1):
         P += ah[i] * xs**i
     num = np.zeros_like(xs)
-    for i in range(1, k + 1):
-        for j in range(i):
-            num += ah[i] * ah[j] * (i - j) ** 2 * xs ** (i + j - 1)
+    for s, cs in enumerate(_density_coeffs(ah)):
+        num += cs * xs**s
     return DensityProfile(xs, num / P**2)

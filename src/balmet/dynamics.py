@@ -75,6 +75,13 @@ def _first_normalized(g):
     return scale(g, 1.0 / float(g.coeffs[0]))
 
 
+def _shape_distance(a, b) -> float:
+    """distance(_first_normalized(a), _first_normalized(b)), bit for bit,
+    without building the two metrics."""
+    na, nb = a.coeffs * (1.0 / a.coeffs[0]), b.coeffs * (1.0 / b.coeffs[0])
+    return float(np.sqrt(np.sum(np.log(nb / na) ** 2)))
+
+
 def apply_step(op, g, tol: float = DEFAULT_APPLY_TOL):
     """Apply one operator step, dispatching on the metric type.
 
@@ -113,7 +120,7 @@ def _orbit_to_limit(op, g0, steps: int, conv_tol: float, max_iter: int,
     step = float("inf")
     for r, g in enumerate(_orbit(op, g0, tol)):
         if r > steps:
-            step = distance(_first_normalized(orbit[-1]), _first_normalized(g))
+            step = _shape_distance(orbit[-1], g)
         orbit.append(g)
         if step < conv_tol:
             break
@@ -202,7 +209,7 @@ def _normalize_against(g, balanced, mode: NormalizationMode):
 
 def _err_against(g, balanced, mode: NormalizationMode) -> float:
     if mode is NormalizationMode.FIRST_COEFF:
-        return distance(_first_normalized(g), _first_normalized(balanced))
+        return _shape_distance(g, balanced)
     return distance(g, balanced)
 
 
@@ -301,12 +308,11 @@ def sigma_probe(op, g0, err_floor: float = DEFAULT_ERR_FLOOR,
         raise MetricError("T_nu at k=0 is the identity map: "
                           "there is no contraction ratio to estimate")
     orbit = _orbit_to_limit(op, g0, 0, conv_tol, max_iter, tol)
-    bal_n = _first_normalized(orbit[-1])
-    errs = [distance(_first_normalized(g0), bal_n)]
+    errs = [_shape_distance(g0, orbit[-1])]
     for g in orbit[1:]:
         if len(errs) > max_steps or errs[-1] <= err_floor:
             break
-        errs.append(distance(_first_normalized(g), bal_n))
+        errs.append(_shape_distance(g, orbit[-1]))
     return _latest_ratio(errs, err_floor)
 
 

@@ -255,7 +255,10 @@ class TestReproduceCommand:
           "--coeffs", "1,2,2,1,2,1", "--steps", "2"], False),
         (["iterate", "--op", "Tnu", "--n", "3", "--k", "4", "--class-coeffs",
           "1,20,30,40,50", "--steps", "2", "--normalize", "first"], False),
-    ], ids=["tk-k2", "cpn-tnu", "cp3-tnu"])
+        # k=8 with spread 1e8 certifies at m=1024, where the table products are large
+        (["iterate", "--op", "T", "--k", "8", "--coeffs", "1,1e8,1,1e8,1,1e8,1,1e8,1",
+          "--steps", "2"], False),
+    ], ids=["tk-k2", "cpn-tnu", "cp3-tnu", "cp1-t-wide"])
     def test_output_independent_of_blas_threads(self, tmp_path, argv, to_file):
         src = str(Path(balmet.__file__).resolve().parents[1])
         outputs = []

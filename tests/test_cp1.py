@@ -1,3 +1,5 @@
+import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +10,7 @@ from balmet import (
     DiagonalMetric,
     MetricError,
     OperatorKind,
+    QuadratureError,
     apply_T,
     apply_TK,
     apply_Tnu,
@@ -63,6 +66,17 @@ class TestFixedPoints:
     def test_round_metric_fixed_under_Tnu(self, k):
         g = balanced_coeffs(BalancedFamily(k))
         assert np.allclose(apply_Tnu(g).coeffs, g.coeffs, rtol=1e-10)
+
+    def test_round_metric_fixed_under_T_at_high_degree(self):
+        # Q ~ 1e-108 at t=1/2: S/Q^3 in one step would underflow
+        g = balanced_coeffs(BalancedFamily(120))
+        assert np.allclose(apply_T(g).coeffs, g.coeffs, rtol=1e-12)
+
+    def test_T_past_floating_range_fails_cleanly(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(QuadratureError):
+                apply_T(balanced_coeffs(BalancedFamily(200)))
 
     def test_k1_identity_under_Tnu(self):
         # symmetry of the degree-1 integrand under inversion plus the trace
@@ -159,6 +173,66 @@ class TestOperatorProperties:
         for _ in range(5):
             g = random_metric(rng, int(rng.integers(2, 9)), even=(op == "TK"))
             assert np.all(OPS[op](g).coeffs > 0)
+
+
+def _log_sum_exp(terms):
+    top = max(terms)
+    return top + math.log(sum(math.exp(t - top) for t in terms))
+
+
+def _quad_reference(op, a):
+    """The map from its defining integrals over (0,inf), each taken in u = log x
+    by scipy's adaptive rule over 64 panels on [-80, 80]: no Gauss-Legendre
+    nodes and no cubic grading.  Integrands are formed from logarithms, since
+    x^k overflows at x = e^80."""
+    from scipy.integrate import quad
+
+    k = a.size - 1
+    log_a = [math.log(v) for v in a]
+    pairs = [(math.log(a[i] * a[j] * (i - j) ** 2), i + j)
+             for i in range(1, k + 1) for j in range(i)]
+    log_P = lambda u: _log_sum_exp([la + i * u for i, la in enumerate(log_a)])
+    # log of (integrand times dx/du = x) for the numerator and for dens_q
+    if op == "Tnu":
+        num = lambda u: u - 2.0 * (max(u, 0.0) + math.log1p(math.exp(-abs(u))))
+        dens = lambda u, q: num(u) + q * u - log_P(u)
+    elif op == "T":
+        num = lambda u: _log_sum_exp([lc + s * u for lc, s in pairs]) - 2.0 * log_P(u)
+        dens = lambda u, q: num(u) + q * u - log_P(u)
+    else:
+        num = lambda u: u - (2.0 / k) * log_P(u)
+        dens = lambda u, q: (q + 1) * u - (1.0 + 2.0 / k) * log_P(u)
+
+    def integral(log_f):
+        edges = np.linspace(-80.0, 80.0, 65)
+        return sum(quad(lambda u: math.exp(log_f(u)), lo, hi,
+                        epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                   for lo, hi in zip(edges[:-1], edges[1:]))
+
+    top = integral(num)
+    return np.array([top / ((k + 1) * integral(lambda u: dens(u, q)))
+                     for q in range(k + 1)])
+
+
+@pytest.mark.parametrize("op, k", [("Tnu", 3), ("Tnu", 6), ("T", 3), ("T", 5),
+                                   ("TK", 4), ("TK", 6)])
+def test_matches_independent_quadrature(op, k):
+    g = DiagonalMetric(np.exp(np.random.default_rng(100 + k).uniform(-3, 3, k + 1)))
+    want = _quad_reference(op, g.coeffs)
+    assert np.allclose(OPS[op](g).coeffs, want, rtol=1e-12, atol=0.0)
+
+
+def test_cached_tables_read_only_and_cold_equals_warm():
+    from balmet import cp1
+
+    g = DiagonalMetric(np.exp(np.random.default_rng(5).uniform(-4, 4, 7)))
+    for op in ("T", "Tnu", "TK"):
+        cp1._rows.cache_clear()
+        cp1._node_weights.cache_clear()
+        cold = OPS[op](g).coeffs
+        assert np.array_equal(OPS[op](g).coeffs, cold)
+    assert not cp1._rows(6, 64).flags.writeable
+    assert not any(a.flags.writeable for a in cp1._node_weights(64))
 
 
 class TestDegreeValidation:
