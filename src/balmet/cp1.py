@@ -19,13 +19,12 @@ inside the node range; the operator then certifies at modest node counts.
 None of these powers depends on the metric: the cached, read-only table
 ``_rows(d, m)`` holds t^(3j) (1-t)^(3(d-j)), j = 0..d, at the m nodes, and
 ``_node_weights(m)`` the row w0 = w 3t^2 (1-t)^2 and the T_nu factor
-1/(t^3+(1-t)^3)^2.  With the coefficients scaled by amax = max a_i, one
-evaluator serves all three maps: Q = a @ _rows(k, m), and as the weight rows
-are W_q = 3t^2 (1-t)^2 row_q, dens = _rows(k, m) @ (w0 f(Q)) for a per-map f.
-It returns [num, dens_0, ..., dens_k], so that a_q -> amax num / ((k+1)
-dens_q).  The T_nu numerator Int dx/(1+x)^2 is exactly 1; the density
-numerator of T homogenizes to S = c @ _rows(2k-2, m), with c_s the
-coefficient of x^s in sum_{i>j} a_i a_j (i-j)^2 x^(i+j-1).
+1/(t^3+(1-t)^3)^2.  With a scaled by amax = max a_i, Q = a @ _rows(k, m), and
+as W_q = 3t^2 (1-t)^2 row_q, the k+1 densities are one product
+dens = _rows(k, m) @ (w0 f(Q)), for T with f = S/Q^3, S = c @ _rows(2k-2, m)
+and c_s = sum_{i+j-1=s, i>j} a_i a_j (i-j)^2.  Only they are certified: each
+numerator is a @ dens, and is taken as 1 for T_nu, k for T (rho = (x P'/P)'
+has mass k, and a @ dens is checked against it) and a @ dens for T_K.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import MetricError
+from .errors import MetricError, QuadratureError
 from .metrics import DiagonalMetric, as_cp1_metric
 from .quadrature import (
     DEFAULT_APPLY_TOL,
@@ -122,22 +121,27 @@ def _apply_family(g, kind: OperatorKind, tol: float) -> DiagonalMetric:
     c = _density_coeffs(ah) if kind is OperatorKind.T else None
 
     def evaluate(m: int) -> np.ndarray:
-        """[num, dens_0, ..., dens_k] with m nodes."""
+        """dens_0, ..., dens_k with m nodes."""
         w0, nu = _node_weights(m)
         rows = _rows(k, m)
         Q = ah @ rows
         if kind is OperatorKind.TNU:
-            num, f = 1.0, nu / Q  # Int dx / (1+x)^2; t^3 + (1-t)^3 homogenizes 1+x
+            f = nu / Q  # t^3 + (1-t)^3 homogenizes 1+x
         elif kind is OperatorKind.T:
-            SQ2 = c @ _rows(2 * k - 2, m) / Q / Q  # S/Q^2 in steps: Q^3 can underflow
-            num, f = np.sum(w0 * SQ2), SQ2 / Q
+            f = c @ _rows(2 * k - 2, m) / Q / Q / Q  # S/Q^3 in steps: Q^3 can underflow
         else:
-            QK = np.exp((-2.0 / k) * np.log(Q))  # fractional power of the positive Q
-            num, f = np.sum(w0 * QK), QK / Q
-        return np.concatenate(([num], rows @ (w0 * f)))
+            f = np.exp((-2.0 / k) * np.log(Q)) / Q  # fractional power of the positive Q
+        return rows @ (w0 * f)
 
-    vals, _ = refine_by_doubling(evaluate, tol, DEFAULT_START_NODES[1], DEFAULT_NODE_CAP[1])
-    return DiagonalMetric(amax * vals[0] / ((k + 1) * vals[1:]))
+    dens, _ = refine_by_doubling(evaluate, tol, DEFAULT_START_NODES[1], DEFAULT_NODE_CAP[1])
+    # Int dx/(1+x)^2 = 1, Int rho dx = k as rho = (x P'/P)', Int P^(-2/k) dx = a @ dens
+    mass = float(ah @ dens)
+    if kind is OperatorKind.T and abs(mass / k - 1.0) > tol:  # a peak of rho out of reach
+        raise QuadratureError(
+            f"T density mass {mass:.6g} != k={k}: the rule misses part of rho"
+            f" (coefficient spread max a / min a = {amax / np.min(g.coeffs):.3g})", best=dens)
+    num = {OperatorKind.TNU: 1.0, OperatorKind.T: k}.get(kind, mass)
+    return DiagonalMetric(amax * num / ((k + 1) * dens))
 
 
 def apply_T(g, tol: float = DEFAULT_APPLY_TOL) -> DiagonalMetric:

@@ -94,15 +94,11 @@ class MultiIndexMetric:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.coeffs, dtype=float)
+        a = _validated_coeffs(self.coeffs)
         if a.shape != (self.basis.size,):
             raise MetricError(
                 f"expected {self.basis.size} coefficients, got shape {a.shape}"
             )
-        if not np.all(np.isfinite(a)) or np.any(a <= 0.0):
-            raise MetricError("coefficients must be finite and strictly positive")
-        a = a.copy()
-        a.flags.writeable = False
         object.__setattr__(self, "coeffs", a)
 
     @property

@@ -91,13 +91,14 @@ def refine_by_doubling(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Double the node count until two consecutive evaluations agree.
 
-    ``evaluate(m)`` returns one or more integral values computed with m nodes
-    per axis.  Returns (values, disagreement) from the finest level; raises
-    QuadratureError carrying the best estimate if the cap is reached first.
+    ``evaluate(m)`` must return a 1-d float array of integrals with m nodes
+    per axis (used as is).  Returns (values, disagreement) from the finest
+    level; raises QuadratureError carrying the best estimate at the cap.
     """
     if not 0.0 < rel_tol < 1.0:
         raise ValueError("rel_tol must lie in (0, 1)")
-    prev = np.atleast_1d(np.asarray(evaluate(m0), dtype=float))
+    tiny = np.finfo(float).tiny
+    prev = evaluate(m0)
     if not np.all(np.isfinite(prev)):
         raise QuadratureError(f"non-finite integral estimate at m={m0}")
     m = m0
@@ -111,11 +112,10 @@ def refine_by_doubling(
                 best=prev,
                 err_est=err,
             )
-        cur = np.atleast_1d(np.asarray(evaluate(m), dtype=float))
+        cur = evaluate(m)
         if not np.all(np.isfinite(cur)):
             raise QuadratureError(f"non-finite integral estimate at m={m}", best=prev)
-        scale = np.maximum(np.abs(cur), np.finfo(float).tiny)
-        err = np.abs(cur - prev) / scale
+        err = np.abs(cur - prev) / np.maximum(np.abs(cur), tiny)
         if np.all(err <= rel_tol):
             return cur, err
         prev = cur

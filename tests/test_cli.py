@@ -45,6 +45,23 @@ class TestIterate:
         coeffs = np.array([row[1:5] for row in rows])
         assert np.allclose(coeffs, coeffs[0], rtol=1e-9)
 
+    @pytest.mark.parametrize("argv, header, start, fixed", [
+        (["--op", "T", "--k", "3", "--family", "binomial", "--alpha", "3", "--c", "2",
+          "--normalize", "none"], ["a0", "a1", "a2", "a3"], [3.0, 18.0, 36.0, 24.0], True),
+        (["--op", "Tnu", "--n", "2", "--k", "2", "--family", "round"], ["a1", "a2"],
+         [1.0, 2.0], True),
+        (["--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--normalize", "none"],
+         ["a0", "a1", "a2"], [1.0, 17.0, 36.0], False),
+    ], ids=["binomial-alpha-c", "cp2-round", "raw"])
+    def test_start_and_normalization_flags(self, capsys, argv, header, start, fixed):
+        code, out, err = run_cli(capsys, "iterate", *argv, "--steps", "1")
+        assert code == 0, err
+        got_header, rows = parse_csv(out)
+        assert got_header == ["r"] + header + ["err", "bnd", "sigma_tilde"]
+        assert rows[0][1:len(start) + 1] == pytest.approx(start, rel=1e-14)
+        if fixed:
+            assert rows[1][1:len(start) + 1] == pytest.approx(start, rel=1e-12)
+
     def test_cpn_class_run_has_sigma_column(self, capsys):
         code, out, _ = run_cli(capsys, "iterate", "--op", "Tnu", "--n", "3",
                                "--k", "4", "--class-coeffs", "1,20,30,40,50",
@@ -143,6 +160,27 @@ class TestValidationErrors:
         assert out == ""
         assert err.startswith("numerical failure (T, n=1, k=2, step 0): ")
 
+    def test_missed_density_mass_is_a_numerical_failure(self, capsys):
+        # both rule levels miss the same peaks of rho and agree; the mass does not
+        code, out, err = run_cli(capsys, "iterate", "--op", "T", "--k", "4",
+                                 "--coeffs", "1,1e40,1,1e40,1", "--steps", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("numerical failure (T, n=1, k=4, step 0): ")
+        assert "max a / min a = 1e+40" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["iterate", "--op", "T", "--k", "2", "--coeffs", "1,x,3", "--steps", "1"],
+         "could not parse coefficient list '1,x,3'"),
+        (["sigma", "--op", "Tnu", "--k", "2", "--palindromic", "maybe"],
+         "argument --palindromic: invalid _bool_flag value: 'maybe'"),
+    ], ids=["coeffs", "palindromic"])
+    def test_unparseable_value(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert message in err
+
     @pytest.mark.parametrize("argv, message", [
         (["sigma", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--steps", "-1"],
          "max_steps must be >= 2 (a ratio needs three errors), got -1"),
@@ -187,6 +225,16 @@ class TestSigmaCommand:
         assert float(report["sigma_predicted"]) == pytest.approx(60 / 72, rel=1e-12)
         assert float(report["sigma_hat"]) == pytest.approx(60 / 72, abs=0.01)
         assert int(report["iterations_used"]) > 3
+
+    def test_palindromic_generated_start(self, capsys):
+        code, out, _ = run_cli(capsys, "sigma", "--op", "Tnu", "--k", "4",
+                               "--palindromic", "true", "--seed", "1",
+                               "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["regime"] == "palindromic"
+        assert report["sigma_predicted"] == pytest.approx(2 / 7, rel=1e-12)
+        assert report["abs_difference"] < 0.01
 
     def test_cpn_symmetric_prediction(self, capsys):
         code, out, _ = run_cli(capsys, "sigma", "--op", "Tnu", "--n", "2",
@@ -236,6 +284,16 @@ class TestReproduceCommand:
         header, rows = parse_csv(out_path.read_text())
         assert header == ["r", "a0", "a1", "a2", "dist", "bnd"]
         assert len(rows) == 6
+
+    def test_json_output_matches_csv(self, capsys, tmp_path):
+        for fmt in ("csv", "json"):
+            code, _, _ = run_cli(capsys, "reproduce", "tk-k2", "--format", fmt,
+                                 "--out", str(tmp_path / f"t.{fmt}"))
+            assert code == 0
+        header, rows = parse_csv((tmp_path / "t.csv").read_text())
+        payload = json.loads((tmp_path / "t.json").read_text())
+        assert payload["meta"] == {"table": "tk-k2", "columns": header}
+        assert [[row[name] for name in header] for row in payload["rows"]] == rows
 
     @pytest.mark.parametrize("flag", ["--tol", "--conv-tol", "--max-iter"])
     def test_rejects_flags_it_does_not_read(self, capsys, flag):
@@ -308,6 +366,17 @@ class TestProfileCommand:
             _, rows = parse_csv(f.read_text())
             assert len(rows) == 32
             assert all(row[1] >= 0 for row in rows)
+
+    @pytest.mark.parametrize("out, names", [
+        ("p{r}.csv", ["p0.csv", "p1.csv"]),
+        ("prof", ["prof_r0", "prof_r1"]),
+    ], ids=["template", "extensionless"])
+    def test_out_path_forms(self, capsys, tmp_path, out, names):
+        code, _, _ = run_cli(capsys, "profile", "--op", "T", "--k", "2",
+                             "--coeffs", "1,3,1", "--steps", "1",
+                             "--out", str(tmp_path / out), "--x-count", "3")
+        assert code == 0
+        assert sorted(f.name for f in tmp_path.iterdir()) == names
 
     def test_stdout_long_format(self, capsys):
         code, out, _ = run_cli(capsys, "profile", "--op", "Tnu", "--k", "1",

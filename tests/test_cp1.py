@@ -222,6 +222,49 @@ def test_matches_independent_quadrature(op, k):
     assert np.allclose(OPS[op](g).coeffs, want, rtol=1e-12, atol=0.0)
 
 
+def _log_trapezoid_T(a, h=0.05):
+    """T from its defining integrals by the trapezoidal rule in u = log x on
+    [-700, 700], every integrand formed by log-sum-exp: numpy only, no
+    Gauss-Legendre nodes and no grading, and no breakpoint out of reach."""
+    k = a.size - 1
+    u = np.arange(-round(700 / h), round(700 / h) + 1) * h
+    log_a = np.log(a)
+    i, j = np.tril_indices(k + 1, -1)
+    log_P = np.logaddexp.reduce(log_a[:, None] + np.arange(k + 1)[:, None] * u, axis=0)
+    # log of rho(x) x = sum_{i>j} a_i a_j (i-j)^2 x^(i+j) / P^2, dx = x du
+    log_rho_x = np.logaddexp.reduce((log_a[i] + log_a[j] + 2 * np.log(i - j))[:, None]
+                                    + (i + j)[:, None] * u, axis=0) - 2 * log_P
+
+    def log_integral(log_f):
+        top = np.max(log_f)
+        return top + np.log(h * np.sum(np.exp(log_f - top)))
+
+    log_dens = np.array([log_integral(log_rho_x + q * u - log_P) for q in range(k + 1)])
+    return np.exp(log_integral(log_rho_x) - np.log(k + 1) - log_dens)
+
+
+def test_T_wide_spread_raises_or_matches_reference():
+    # log10 spreads of 30-120 put Newton-polygon breakpoints past the nodes'
+    # reach: two levels can then miss the same peak of rho and agree
+    with pytest.raises(QuadratureError, match="k=4"):
+        apply_T((1, 1e40, 1, 1e40, 1))
+    rng = np.random.default_rng(1)
+    certified = 0
+    for _ in range(24):
+        k = int(rng.integers(2, 9))
+        u = rng.uniform(0, 1, k + 1)
+        u = (u - u.min()) / (u.max() - u.min())
+        a = np.array([math.comb(k, q) for q in range(k + 1)]) * 10.0 ** (
+            rng.uniform(30, 120) * u)
+        try:
+            got = apply_T(a).coeffs
+        except QuadratureError:
+            continue
+        certified += 1
+        assert np.allclose(got, _log_trapezoid_T(a), rtol=1e-10, atol=0.0)
+    assert certified >= 4
+
+
 def test_cached_tables_read_only_and_cold_equals_warm():
     from balmet import cp1
 

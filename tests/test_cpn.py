@@ -188,6 +188,14 @@ class TestApply:
             MultiIndexMetric(basis, np.ones(5))
         with pytest.raises(MetricError):
             MultiIndexMetric(basis, np.array([1.0, 1, 1, 1, 1, -1]))
+        for bad in ([1.0, 1, 1, 1, 1, 0], [1.0, 1, 1, 1, 1, np.nan],
+                    [1.0, 1, 1, 1, 1, np.inf], np.ones((2, 3)), []):
+            with pytest.raises(MetricError):
+                MultiIndexMetric(basis, np.asarray(bad, dtype=float))
+        source = np.ones(6)
+        metric = MultiIndexMetric(basis, source)
+        source[0] = 2.0
+        assert metric.coeffs[0] == 1.0 and not metric.coeffs.flags.writeable
 
 
 class TestAgreementWithCp1:
