@@ -342,6 +342,9 @@ def cmd_profile(args) -> int:
     if args.xs:
         xs = np.asarray(_parse_floats(args.xs))
     else:
+        for flag, x in (("--x-min", args.x_min), ("--x-max", args.x_max)):
+            if not 0.0 < x < np.inf:
+                raise ValueError(f"{flag} must be finite and positive, got {x}")
         xs = np.geomspace(args.x_min, args.x_max, args.x_count)
     iterates = iterate(OperatorKind.parse(args.op), metric, args.steps, tol=args.tol)
     profiles = [density_profile(g, xs) for g in iterates]

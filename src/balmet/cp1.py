@@ -106,17 +106,27 @@ def _node_weights(m: int) -> tuple[np.ndarray, np.ndarray]:
     return w0, nu
 
 
+@lru_cache(maxsize=64)
+def _pairs(size: int) -> tuple[np.ndarray, ...]:
+    """Index pairs i > j below size as (i, j, i+j-1, (i-j)^2) (read-only)."""
+    i, j = np.tril_indices(size, -1)
+    pairs = (i, j, i + j - 1, (i - j) ** 2)
+    for p in pairs:
+        p.flags.writeable = False
+    return pairs
+
+
 def _density_coeffs(a: np.ndarray) -> np.ndarray:
     """c_s, s = 0..2k-2, with sum_{i>j} a_i a_j (i-j)^2 x^(i+j-1) = sum_s c_s x^s."""
-    i, j = np.tril_indices(a.size, -1)
-    return np.bincount(i + j - 1, weights=a[i] * a[j] * (i - j) ** 2)
+    i, j, s, d2 = _pairs(a.size)
+    return np.bincount(s, weights=a[i] * a[j] * d2)
 
 
 def _apply_family(g, kind: OperatorKind, tol: float) -> DiagonalMetric:
     g = as_cp1_metric(g)
     k = g.k
     kind.validate_degree(k)
-    amax = float(np.max(g.coeffs))
+    amax = float(g.coeffs.max())
     ah = g.coeffs / amax
     c = _density_coeffs(ah) if kind is OperatorKind.T else None
 
@@ -139,8 +149,8 @@ def _apply_family(g, kind: OperatorKind, tol: float) -> DiagonalMetric:
     if kind is OperatorKind.T and abs(mass / k - 1.0) > tol:  # a peak of rho out of reach
         raise QuadratureError(
             f"T density mass {mass:.6g} != k={k}: the rule misses part of rho"
-            f" (coefficient spread max a / min a = {amax / np.min(g.coeffs):.3g})", best=dens)
-    num = {OperatorKind.TNU: 1.0, OperatorKind.T: k}.get(kind, mass)
+            f" (coefficient spread max a / min a = {amax / g.coeffs.min():.3g})", best=dens)
+    num = 1.0 if kind is OperatorKind.TNU else k if kind is OperatorKind.T else mass
     return DiagonalMetric(amax * num / ((k + 1) * dens))
 
 

@@ -79,7 +79,7 @@ def _shape_distance(a, b) -> float:
     """distance(_first_normalized(a), _first_normalized(b)), bit for bit,
     without building the two metrics."""
     na, nb = a.coeffs * (1.0 / a.coeffs[0]), b.coeffs * (1.0 / b.coeffs[0])
-    return float(np.sqrt(np.sum(np.log(nb / na) ** 2)))
+    return float(np.sqrt((np.log(nb / na) ** 2).sum()))
 
 
 def apply_step(op, g, tol: float = DEFAULT_APPLY_TOL):
@@ -99,11 +99,11 @@ def _orbit(op, g0, tol: float):
     """Yield the orbit g0, F(g0), F^2(g0), ... without end.  Every application
     in this module runs here; a failing one gets its input's index attached
     as ``step_index``."""
-    g = as_metric(g0)
+    g, kind = as_metric(g0), OperatorKind.parse(op)
     for r in count():
         yield g
         try:
-            g = apply_step(op, g, tol=tol)
+            g = apply_step(kind, g, tol=tol)
         except Exception as exc:
             exc.step_index = r
             raise
@@ -116,6 +116,8 @@ def _orbit_to_limit(op, g0, steps: int, conv_tol: float, max_iter: int,
     within max_iter further applications, and passes its degree-2 check."""
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+    if not conv_tol > 0:
+        raise ValueError(f"conv_tol must be > 0, got {conv_tol}")
     orbit = []
     step = float("inf")
     for r, g in enumerate(_orbit(op, g0, tol)):
@@ -298,8 +300,8 @@ def sigma_probe(op, g0, err_floor: float = DEFAULT_ERR_FLOOR,
     Returns (sigma_hat, steps_used) where sigma_hat is the latest ratio whose
     numerator exceeds err_floor.
     """
-    if err_floor < 0:
-        raise ValueError("err_floor must be >= 0")
+    if not err_floor >= 0:
+        raise ValueError(f"err_floor must be >= 0, got {err_floor}")
     if max_steps < 2:
         raise ValueError(f"max_steps must be >= 2 (a ratio needs three errors), "
                          f"got {max_steps}")

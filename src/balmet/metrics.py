@@ -42,9 +42,9 @@ def _validated_coeffs(values) -> np.ndarray:
     a = np.asarray(values, dtype=float)
     if a.ndim != 1 or a.size == 0:
         raise MetricError("coefficients must form a non-empty 1-d sequence")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise MetricError("coefficients must be finite")
-    if np.any(a <= 0.0):
+    if not (a > 0.0).all():
         raise MetricError("coefficients must be strictly positive")
     a = a.copy()
     a.flags.writeable = False

@@ -42,6 +42,8 @@ DEFAULT_START_NODES = {1: 64, 2: 64, 3: 48}
 DEFAULT_NODE_CAP = {1: 2048, 2: 512, 3: 192}
 DEFAULT_APPLY_TOL = 1e-11
 
+_TINY = np.finfo(float).tiny
+
 
 def _legendre_pair(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P_m(x), P_{m-1}(x) by the three-term recurrence, vectorized over x."""
@@ -97,9 +99,8 @@ def refine_by_doubling(
     """
     if not 0.0 < rel_tol < 1.0:
         raise ValueError("rel_tol must lie in (0, 1)")
-    tiny = np.finfo(float).tiny
     prev = evaluate(m0)
-    if not np.all(np.isfinite(prev)):
+    if not np.isfinite(prev).all():
         raise QuadratureError(f"non-finite integral estimate at m={m0}")
     m = m0
     err = None
@@ -113,10 +114,10 @@ def refine_by_doubling(
                 err_est=err,
             )
         cur = evaluate(m)
-        if not np.all(np.isfinite(cur)):
+        if not np.isfinite(cur).all():
             raise QuadratureError(f"non-finite integral estimate at m={m}", best=prev)
-        err = np.abs(cur - prev) / np.maximum(np.abs(cur), tiny)
-        if np.all(err <= rel_tol):
+        err = np.abs(cur - prev) / np.maximum(np.abs(cur), _TINY)
+        if (err <= rel_tol).all():
             return cur, err
         prev = cur
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -192,10 +193,30 @@ class TestValidationErrors:
           "--max-iter", "-1"], "max_iter must be >= 0, got -1"),
         (["profile", "--op", "T", "--k", "2", "--coeffs", "1,2,1", "--steps", "-1"],
          "steps must be >= 0, got -1"),
+        # no step size falls below such a conv_tol: fail at once, not after max_iter
+        (["iterate", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--steps", "1",
+          "--conv-tol", "-1", "--max-iter", "5"], "conv_tol must be > 0, got -1.0"),
+        (["iterate", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--steps", "1",
+          "--conv-tol", "nan"], "conv_tol must be > 0, got nan"),
+        (["sigma", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--conv-tol", "-1"],
+         "conv_tol must be > 0, got -1.0"),
+        (["sigma", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--conv-tol", "nan"],
+         "conv_tol must be > 0, got nan"),
+        (["sigma", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--err-floor", "nan"],
+         "err_floor must be >= 0, got nan"),
+        # checked before np.geomspace, which warns on a non-positive end point
+        (["profile", "--op", "T", "--k", "2", "--coeffs", "1,2,1", "--x-min", "-1"],
+         "--x-min must be finite and positive, got -1.0"),
+        (["profile", "--op", "T", "--k", "2", "--coeffs", "1,2,1", "--x-max", "0"],
+         "--x-max must be finite and positive, got 0.0"),
     ], ids=["sigma-steps", "sigma-one-step", "sigma-max-iter", "iterate-max-iter",
-            "profile-steps"])
+            "profile-steps", "iterate-conv-tol-negative", "iterate-conv-tol-nan",
+            "sigma-conv-tol-negative", "sigma-conv-tol-nan", "sigma-err-floor-nan",
+            "profile-x-min", "profile-x-max"])
     def test_run_limit_out_of_range(self, capsys, argv, message):
-        code, out, err = run_cli(capsys, *argv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
         assert message in err

@@ -272,10 +272,23 @@ def test_cached_tables_read_only_and_cold_equals_warm():
     for op in ("T", "Tnu", "TK"):
         cp1._rows.cache_clear()
         cp1._node_weights.cache_clear()
+        cp1._pairs.cache_clear()
         cold = OPS[op](g).coeffs
         assert np.array_equal(OPS[op](g).coeffs, cold)
     assert not cp1._rows(6, 64).flags.writeable
     assert not any(a.flags.writeable for a in cp1._node_weights(64))
+    assert not any(a.flags.writeable for a in cp1._pairs(7))
+
+
+def test_density_coeffs_match_the_pair_sum():
+    from balmet import cp1
+
+    rng = np.random.default_rng(11)
+    for k in range(1, 13):
+        a = np.exp(rng.uniform(-3, 3, k + 1))
+        i, j = np.tril_indices(a.size, -1)
+        want = np.bincount(i + j - 1, weights=a[i] * a[j] * (i - j) ** 2)
+        assert np.array_equal(cp1._density_coeffs(a), want)
 
 
 class TestDegreeValidation:

@@ -9,6 +9,7 @@ from balmet import (
     MetricError,
     MultiIndexMetric,
     NormalizationMode,
+    OperatorKind,
     as_metric,
     balanced_coeffs,
     bound_series,
@@ -60,6 +61,13 @@ class TestIterate:
     def test_negative_steps(self):
         with pytest.raises(ValueError):
             iterate("T", (1.0, 2.0), -1)
+
+    def test_operator_name_and_kind_give_the_same_orbit(self):
+        # the orbit parses its operator once; a name and its kind run alike
+        g = DiagonalMetric(np.exp(np.random.default_rng(3).uniform(-2, 2, 5)))
+        by_name, by_kind = iterate("T", g, 20), iterate(OperatorKind.T, g, 20)
+        assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(by_name, by_kind))
+        assert len(by_name) == len(by_kind) == 21
 
 
 class TestFindBalanced:
@@ -166,6 +174,17 @@ class TestErrorSeriesAndSigma:
         # every error, the limit's own 0 included, would count as above it
         with pytest.raises(ValueError, match="err_floor"):
             sigma_probe("TK", TK_START, err_floor=-1.0)
+
+    def test_sigma_probe_rejects_nan_floor(self):
+        # NaN compares false both ways, so a plain "< 0" test lets it through
+        with pytest.raises(ValueError, match="err_floor must be >= 0, got nan"):
+            sigma_probe("TK", TK_START, err_floor=float("nan"))
+
+    @pytest.mark.parametrize("conv_tol", [0.0, -1.0, float("nan")])
+    def test_limit_rejects_unreachable_conv_tol(self, conv_tol):
+        # no step size falls below it: fail at once, not after max_iter steps
+        with pytest.raises(ValueError, match="conv_tol must be > 0"):
+            find_balanced("TK", TK_START, conv_tol=conv_tol)
 
 
 class TestSigmaClosedForm:
