@@ -32,7 +32,6 @@ from .dynamics import (
     DEFAULT_MAX_ITER,
     NormalizationMode,
     build_trajectory,
-    coordinate_sigma_series,
     iterate,
     sigma_law,
     sigma_probe,
@@ -46,7 +45,7 @@ from .metrics import (
     is_palindromic,
 )
 from .quadrature import DEFAULT_APPLY_TOL
-from .tables import TABLE_IDS, golden_table, reproduce
+from .tables import TABLE_IDS, golden_table, reproduce, trajectory_table
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -132,21 +131,29 @@ def _add_metric_args(p: argparse.ArgumentParser) -> None:
                      help="one value per full-symmetry class (CP^n, n >= 2)")
     src.add_argument("--family", choices=("round", "binomial"),
                      help="named start: the round metric, or the binomial family")
-    p.add_argument("--alpha", type=float, default=1.0, help="family scale")
-    p.add_argument("--c", type=float, default=1.0, help="binomial family parameter")
+    p.add_argument("--alpha", type=float, default=None, help="family scale (default 1)")
+    p.add_argument("--c", type=float, default=None,
+                   help="binomial family parameter (default 1)")
 
 
-def _check_dimensions(args) -> None:
+def _check_start_args(args) -> None:
     if args.n < 1 or args.n > 3:
         raise MetricError(f"projective dimension n={args.n} unsupported; expected 1..3")
     if args.k < 0:
         raise MetricError("k must be nonnegative")
+    # the family flags are read only for a start of their family
+    for flag, value, reads, start in (
+            ("--alpha", args.alpha, args.family is not None, "--family"),
+            ("--c", args.c, args.family == "binomial", "--family binomial")):
+        if value is not None and not reads:
+            raise MetricError(f"{flag} applies only to a {start} start")
 
 
 def _build_start(args):
     """Returns (metric, class_indices or None)."""
-    _check_dimensions(args)
+    _check_start_args(args)
     n, k = args.n, args.k
+    alpha, c = (1.0 if v is None else v for v in (args.alpha, args.c))
     if n == 1:
         if args.class_coeffs:
             raise MetricError("--class-coeffs applies to CP^n with n >= 2")
@@ -156,10 +163,8 @@ def _build_start(args):
                 raise MetricError(
                     f"expected {k + 1} coefficients for k={k}, got {len(coeffs)}")
             return DiagonalMetric(np.asarray(coeffs)), None
-        if args.family == "round":
-            return balanced_coeffs(BalancedFamily(k, args.alpha, 1.0)), None
-        if args.family == "binomial":
-            return balanced_coeffs(BalancedFamily(k, args.alpha, args.c)), None
+        if args.family is not None:  # the round metric is the binomial c = 1
+            return balanced_coeffs(BalancedFamily(k, alpha, c)), None
         raise MetricError("provide --coeffs or --family for the start metric")
     basis = build_basis(n, k)
     if args.coeffs:
@@ -175,17 +180,9 @@ def _build_start(args):
         reps = [o[0] for o in full_symmetry_orbits(basis)]
         return metric, reps
     if args.family == "round":
-        return MultiIndexMetric(basis, args.alpha * multinomial_coeffs(basis)), \
+        return MultiIndexMetric(basis, alpha * multinomial_coeffs(basis)), \
             [o[0] for o in full_symmetry_orbits(basis)]
     raise MetricError("provide --coeffs, --class-coeffs, or --family round")
-
-
-def _display_columns(metric, class_indices):
-    idx = class_indices if class_indices is not None else list(range(metric.coeffs.size))
-    # CP^1 columns are named by the power of z (a0..ak), CP^n columns by
-    # basis position (a1..aN)
-    first = 0 if metric.n == 1 else 1
-    return idx, [f"a{i + first}" for i in idx]
 
 
 def cmd_iterate(args) -> int:
@@ -195,16 +192,7 @@ def cmd_iterate(args) -> int:
     traj = build_trajectory(kind, metric, steps=args.steps, normalization=mode,
                             tol=args.tol, conv_tol=args.conv_tol,
                             max_iter=args.max_iter)
-    idx, names = _display_columns(metric, class_indices)
-    shown = traj.display_iterates()
-    with_sigma = mode is NormalizationMode.FIRST_COEFF
-    sig = coordinate_sigma_series(traj, coord=idx[1] if len(idx) > 1 else 0) \
-        if with_sigma else [float("nan")] + list(traj.sigma_tilde)
-    rows = []
-    for r in range(traj.steps + 1):
-        coeffs = [float(shown[r].coeffs[i]) for i in idx]
-        rows.append([r] + coeffs + [traj.err[r], traj.bound[r], sig[r]])
-    header = ["r"] + names + ["err", "bnd", "sigma_tilde"]
+    header, rows = trajectory_table(traj, class_indices)
     if args.format == "csv":
         _write_text(_csv_text(header, rows), args.out)
     else:
@@ -215,7 +203,7 @@ def cmd_iterate(args) -> int:
                 "k": args.k,
                 "normalization": mode.value,
                 "tolerances": {"apply": args.tol, "conv": args.conv_tol},
-                "columns": names,
+                "columns": header[1:-3],
             },
             "rows": [
                 {
@@ -265,7 +253,7 @@ def cmd_sigma(args) -> int:
 
 
 def _random_start(args):
-    _check_dimensions(args)
+    _check_start_args(args)
     rng = np.random.default_rng(args.seed)
     n, k = args.n, args.k
     if n == 1:

@@ -300,10 +300,11 @@ def sigma_predict_cpn(n: int, k: int, generally_symmetric: bool) -> float:
 
     (k-1)k / ((k+n+1)(k+n+2)) for metrics invariant under a fixed-point-free
     coordinate permutation, else k / (k+n+1).  At n = 1 these are the
-    palindromic and generic ratios on the projective line.
+    palindromic and generic ratios on the projective line; at k = 0, where
+    T_nu is the identity, both are 0.
     """
-    if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
+    if n < 1 or k < 0:
+        raise ValueError(f"need n >= 1 and k >= 0, got n={n}, k={k}")
     if generally_symmetric:
         return (k - 1) * k / ((k + n + 1) * (k + n + 2))
     return k / (k + n + 1)

@@ -116,8 +116,8 @@ def _orbit_to_limit(op, g0, steps: int, conv_tol: float, max_iter: int,
     within max_iter further applications, and passes its degree-2 check."""
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
-    if not conv_tol > 0:
-        raise ValueError(f"conv_tol must be > 0, got {conv_tol}")
+    if not 0 < conv_tol < float("inf"):
+        raise ValueError(f"conv_tol must be {'finite' if conv_tol > 0 else '> 0'}, got {conv_tol}")
     orbit = []
     step = float("inf")
     for r, g in enumerate(_orbit(op, g0, tol)):
@@ -300,8 +300,9 @@ def sigma_probe(op, g0, err_floor: float = DEFAULT_ERR_FLOOR,
     Returns (sigma_hat, steps_used) where sigma_hat is the latest ratio whose
     numerator exceeds err_floor.
     """
-    if not err_floor >= 0:
-        raise ValueError(f"err_floor must be >= 0, got {err_floor}")
+    if not 0 <= err_floor < float("inf"):
+        raise ValueError(f"err_floor must be {'finite' if err_floor >= 0 else '>= 0'}, "
+                         f"got {err_floor}")
     if max_steps < 2:
         raise ValueError(f"max_steps must be >= 2 (a ratio needs three errors), "
                          f"got {max_steps}")
@@ -321,7 +322,8 @@ def sigma_probe(op, g0, err_floor: float = DEFAULT_ERR_FLOOR,
 def sigma_closed_form(op, k: int, palindromic: bool = False) -> float:
     """Asymptotic distance-ratio laws on the projective line.
 
-    T_nu: (k-1)k/((k+2)(k+3)) from a palindromic start, else k/(k+2).
+    T_nu: (k-1)k/((k+2)(k+3)) from a palindromic start, else k/(k+2),
+          the n = 1 case of ``sigma_predict_cpn``.
     T:    (k-1)(k+6)/((k+2)(k+3)).
     T_K:  (k-1)/(k+3).
     The palindromic flag is irrelevant for T and T_K.
@@ -329,9 +331,7 @@ def sigma_closed_form(op, k: int, palindromic: bool = False) -> float:
     kind = OperatorKind.parse(op)
     kind.validate_degree(k)
     if kind is OperatorKind.TNU:
-        if palindromic:
-            return (k - 1) * k / ((k + 2) * (k + 3))
-        return k / (k + 2)
+        return sigma_predict_cpn(1, k, palindromic)
     if kind is OperatorKind.T:
         return (k - 1) * (k + 6) / ((k + 2) * (k + 3))
     return (k - 1) / (k + 3)

@@ -4,7 +4,9 @@ Four reference trajectories are embedded verbatim as golden data, at the
 precision to which they are conventionally printed: the degree-2 T_K run,
 the degree-3 T_nu run, the degree-6 T run whose first application moves the
 metric *away* from its limit, and the fully symmetric degree-4 T_nu run on
-CP^3.  ``reproduce`` regenerates a table from scratch and diffs it cell by
+CP^3.  Each is a ``balmet iterate`` run, kept in ``_RUNS``, cut to its
+golden rows and columns; ``trajectory_table`` lays out the rows of every
+such run.  ``reproduce`` regenerates a table from scratch and diffs it cell by
 cell; tolerances combine the documented accuracy targets with half an ulp of
 the printed precision, since the golden values are rounded.
 """
@@ -14,19 +16,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
-from .cp1 import OperatorKind
-from .cpn import build_basis, metric_from_class_values
+from .cpn import build_basis, full_symmetry_orbits, metric_from_class_values
 from .dynamics import (
     NormalizationMode,
     build_trajectory,
     coordinate_sigma_series,
 )
-from .metrics import DiagonalMetric
 
 __all__ = ["GoldenTable", "ReproduceReport", "CellDeviation", "TABLE_IDS",
-           "golden_table", "generate_table", "reproduce"]
+           "golden_table", "generate_table", "reproduce", "trajectory_table"]
 
 
 @dataclass(frozen=True)
@@ -64,7 +62,6 @@ class ReproduceReport:
     table_id: str
     column_names: tuple[str, ...]
     computed_rows: tuple[tuple[float, ...], ...]
-    golden_rows: tuple[tuple[float, ...], ...]
     max_deviation: dict[str, float]
     failures: tuple[CellDeviation, ...]
     elapsed_s: float
@@ -164,50 +161,57 @@ _TABLES = {t.table_id: t for t in (_TK_K2, _TNU_K3, _T_K6, _CPN_K4)}
 TABLE_IDS = tuple(_TABLES)
 
 
+# The ``balmet iterate`` run behind each table: operator, n, k, start
+# (coefficients on CP^1, class values on CP^n), steps, normalization, and the
+# iterate column that each golden column reads.
+_RUNS = {
+    "tk-k2": ("TK", 1, 2, (1, 17, 36), 5, "balanced", ("a0", "a1", "a2", "err", "bnd")),
+    "tnu-k3": ("Tnu", 1, 3, (1, 25, 0.07, 13), 20, "balanced",
+               ("a0", "a1", "a2", "a3", "err", "bnd")),
+    "t-k6": ("T", 1, 6, (1, 6000, 150000, 2e10, 150000, 6000, 1), 100, "balanced",
+             ("a0", "a1", "a2", "a3", "err", "bnd")),
+    "cpn-k4": ("Tnu", 3, 4, (1, 20, 30, 40, 50), 8, "first",
+               ("a2", "a5", "a6", "a15", "sigma_tilde")),
+}
+
+
 def golden_table(table_id: str) -> GoldenTable:
     if table_id not in _TABLES:
         raise ValueError(f"unknown table {table_id!r}; expected one of {TABLE_IDS}")
     return _TABLES[table_id]
 
 
-def _cp1_table_rows(kind: OperatorKind, start, steps: int, record: list[int],
-                    n_coeffs: int) -> list[tuple[float, ...]]:
-    traj = build_trajectory(kind, DiagonalMetric(np.asarray(start, float)),
-                            steps=steps,
-                            normalization=NormalizationMode.BALANCED_FIRST)
+def trajectory_table(traj, idx=None) -> tuple[list[str], list[list]]:
+    """Header and rows ``r, coefficients, err, bnd, sigma_tilde`` of a
+    trajectory, as ``balmet iterate`` prints them, with the coefficients at
+    basis positions idx (default all): a0..ak on CP^1, a1..aN on CP^n.  Under
+    first-coefficient normalization sigma_tilde tracks coordinate idx[1]."""
+    idx = range(traj.iterates[0].coeffs.size) if idx is None else idx
+    first = 0 if traj.iterates[0].n == 1 else 1
+    if traj.normalization is NormalizationMode.FIRST_COEFF:
+        sig = coordinate_sigma_series(traj, coord=idx[1] if len(idx) > 1 else 0)
+    else:
+        sig = [float("nan")] + list(traj.sigma_tilde)
     shown = traj.display_iterates()
-    rows = []
-    for r in record:
-        coeffs = tuple(float(v) for v in shown[r].coeffs[:n_coeffs])
-        rows.append((r,) + coeffs + (traj.err[r], traj.bound[r]))
-    return rows
+    rows = [[r] + [float(shown[r].coeffs[i]) for i in idx]
+            + [traj.err[r], traj.bound[r], sig[r]] for r in range(traj.steps + 1)]
+    return ["r"] + [f"a{i + first}" for i in idx] + ["err", "bnd", "sigma_tilde"], rows
 
 
 def generate_table(table_id: str) -> list[tuple[float, ...]]:
-    """Recompute a golden table's rows from scratch."""
+    """Recompute a golden table's rows from scratch: its ``iterate`` run,
+    cut to the golden rows and columns."""
     table = golden_table(table_id)
-    if table_id == "tk-k2":
-        return _cp1_table_rows(OperatorKind.TK, (1.0, 17.0, 36.0), 5,
-                               [int(r[0]) for r in table.rows], 3)
-    if table_id == "tnu-k3":
-        return _cp1_table_rows(OperatorKind.TNU, (1.0, 25.0, 0.07, 13.0), 20,
-                               [int(r[0]) for r in table.rows], 4)
-    if table_id == "t-k6":
-        start = (1.0, 6000.0, 150000.0, 2e10, 150000.0, 6000.0, 1.0)
-        return _cp1_table_rows(OperatorKind.T, start, 100,
-                               [int(r[0]) for r in table.rows], 4)
-    # cpn-k4
-    basis = build_basis(3, 4)
-    metric = metric_from_class_values(basis, (1.0, 20.0, 30.0, 40.0, 50.0))
-    traj = build_trajectory(OperatorKind.TNU, metric, steps=8,
-                            normalization=NormalizationMode.FIRST_COEFF)
-    sig = coordinate_sigma_series(traj, coord=1)
-    shown = traj.display_iterates()
-    rows = []
-    for r in range(9):
-        coeffs = tuple(float(shown[r].coeffs[i]) for i in (1, 4, 5, 14))
-        rows.append((r,) + coeffs + (sig[r],))
-    return rows
+    op, n, k, start, steps, mode, columns = _RUNS[table_id]
+    idx = None
+    if n > 1:  # shown by class, as ``iterate --class-coeffs`` does
+        basis = build_basis(n, k)
+        start = metric_from_class_values(basis, start)
+        idx = [o[0] for o in full_symmetry_orbits(basis)]
+    header, rows = trajectory_table(
+        build_trajectory(op, start, steps=steps, normalization=mode), idx)
+    cols = [header.index(name) for name in ("r",) + columns]
+    return [tuple(rows[int(grow[0])][j] for j in cols) for grow in table.rows]
 
 
 def reproduce(table_id: str) -> ReproduceReport:
@@ -230,7 +234,6 @@ def reproduce(table_id: str) -> ReproduceReport:
         table_id=table_id,
         column_names=tuple(c.name for c in table.columns),
         computed_rows=tuple(tuple(r) for r in computed),
-        golden_rows=table.rows,
         max_deviation=max_dev,
         failures=tuple(failures),
         elapsed_s=elapsed,

@@ -63,6 +63,24 @@ class TestIterate:
         if fixed:
             assert rows[1][1:len(start) + 1] == pytest.approx(start, rel=1e-12)
 
+    @pytest.mark.parametrize("command", ["iterate", "sigma"])
+    @pytest.mark.parametrize("argv, flag", [
+        (["--k", "2", "--family", "round", "--c", "2"], "--c"),
+        (["--k", "2", "--coeffs", "1,2,1", "--alpha", "5"], "--alpha"),
+        (["--k", "2", "--coeffs", "1,2,1", "--c", "2"], "--c"),
+        (["--n", "3", "--k", "4", "--class-coeffs", "1,20,30,40,50", "--alpha", "5"],
+         "--alpha"),
+        (["--n", "2", "--k", "2", "--family", "round", "--c", "2"], "--c"),
+        (["--k", "2", "--alpha", "5"], "--alpha"),
+    ], ids=["round-c", "coeffs-alpha", "coeffs-c", "class-alpha", "cp2-round-c",
+            "no-start-alpha"])
+    def test_rejects_family_flags_it_does_not_read(self, capsys, command, argv, flag):
+        steps = ["--steps", "0"] if command == "iterate" else []
+        code, out, err = run_cli(capsys, command, "--op", "Tnu", *argv, *steps)
+        assert code == 1
+        assert out == ""
+        assert flag in err
+
     def test_cpn_class_run_has_sigma_column(self, capsys):
         code, out, _ = run_cli(capsys, "iterate", "--op", "Tnu", "--n", "3",
                                "--k", "4", "--class-coeffs", "1,20,30,40,50",
@@ -204,6 +222,15 @@ class TestValidationErrors:
          "conv_tol must be > 0, got nan"),
         (["sigma", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--err-floor", "nan"],
          "err_floor must be >= 0, got nan"),
+        # an infinite conv_tol would take the start itself as the limit
+        (["iterate", "--op", "Tnu", "--k", "3", "--coeffs", "1,25,0.07,13", "--steps", "1",
+          "--conv-tol", "inf"], "conv_tol must be finite, got inf"),
+        (["iterate", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--steps", "1",
+          "--conv-tol", "inf"], "conv_tol must be finite, got inf"),
+        (["sigma", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--conv-tol", "inf"],
+         "conv_tol must be finite, got inf"),
+        (["sigma", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--err-floor", "inf"],
+         "err_floor must be finite, got inf"),
         # checked before np.geomspace, which warns on a non-positive end point
         (["profile", "--op", "T", "--k", "2", "--coeffs", "1,2,1", "--x-min", "-1"],
          "--x-min must be finite and positive, got -1.0"),
@@ -212,6 +239,8 @@ class TestValidationErrors:
     ], ids=["sigma-steps", "sigma-one-step", "sigma-max-iter", "iterate-max-iter",
             "profile-steps", "iterate-conv-tol-negative", "iterate-conv-tol-nan",
             "sigma-conv-tol-negative", "sigma-conv-tol-nan", "sigma-err-floor-nan",
+            "iterate-conv-tol-inf-tnu", "iterate-conv-tol-inf-tk", "sigma-conv-tol-inf",
+            "sigma-err-floor-inf",
             "profile-x-min", "profile-x-max"])
     def test_run_limit_out_of_range(self, capsys, argv, message):
         with warnings.catch_warnings():
@@ -350,6 +379,25 @@ class TestReproduceCommand:
             outputs.append(out_path.read_bytes() if to_file else proc.stdout)
         assert outputs[0]
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("table_id, argv", [
+        ("tk-k2", "--op TK --k 2 --coeffs 1,17,36 --steps 5 --normalize balanced"),
+        ("tnu-k3", "--op Tnu --k 3 --coeffs 1,25,0.07,13 --steps 20 --normalize balanced"),
+        ("t-k6", "--op T --k 6 --coeffs 1,6000,150000,2e10,150000,6000,1 --steps 100 "
+         "--normalize balanced"),
+        ("cpn-k4", "--op Tnu --n 3 --k 4 --class-coeffs 1,20,30,40,50 --steps 8 "
+         "--normalize first"),
+    ])
+    def test_table_is_its_iterate_run(self, capsys, table_id, argv):
+        # the README's command for each table, cut to its golden rows and columns
+        code, out, err = run_cli(capsys, "iterate", *argv.split())
+        assert code == 0, err
+        header, rows = parse_csv(out)
+        table = balmet.golden_table(table_id)
+        cols = [header.index("err" if c.name == "dist" else c.name) for c in table.columns]
+        want = [[rows[int(g[0])][0]] + [rows[int(g[0])][j] for j in cols]
+                for g in table.rows]
+        assert [list(row) for row in balmet.generate_table(table_id)] == want
 
     def test_mismatch_exits_3(self, capsys, monkeypatch):
         import balmet.tables as tables

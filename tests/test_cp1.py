@@ -222,25 +222,53 @@ def test_matches_independent_quadrature(op, k):
     assert np.allclose(OPS[op](g).coeffs, want, rtol=1e-12, atol=0.0)
 
 
-def _log_trapezoid_T(a, h=0.05):
-    """T from its defining integrals by the trapezoidal rule in u = log x on
-    [-700, 700], every integrand formed by log-sum-exp: numpy only, no
-    Gauss-Legendre nodes and no grading, and no breakpoint out of reach."""
+def _log_trapezoid(op, a, h=0.05):
+    """The map from its defining integrals by the trapezoidal rule in u = log x
+    on [-700, 700], every integrand formed by log-sum-exp: numpy only, no
+    Gauss-Legendre nodes and no grading, and no breakpoint out of reach.  Each
+    map is a_q = Int w dx / ((k+1) Int w x^q / P dx) for a weight w."""
     k = a.size - 1
     u = np.arange(-round(700 / h), round(700 / h) + 1) * h
     log_a = np.log(a)
-    i, j = np.tril_indices(k + 1, -1)
     log_P = np.logaddexp.reduce(log_a[:, None] + np.arange(k + 1)[:, None] * u, axis=0)
-    # log of rho(x) x = sum_{i>j} a_i a_j (i-j)^2 x^(i+j) / P^2, dx = x du
-    log_rho_x = np.logaddexp.reduce((log_a[i] + log_a[j] + 2 * np.log(i - j))[:, None]
-                                    + (i + j)[:, None] * u, axis=0) - 2 * log_P
+    # log of w(x) x, as dx = x du
+    if op == "T":  # w = rho = sum_{i>j} a_i a_j (i-j)^2 x^(i+j-1) / P^2
+        i, j = np.tril_indices(k + 1, -1)
+        log_w_x = np.logaddexp.reduce((log_a[i] + log_a[j] + 2 * np.log(i - j))[:, None]
+                                      + (i + j)[:, None] * u, axis=0) - 2 * log_P
+    elif op == "Tnu":  # w = 1/(1+x)^2
+        log_w_x = u - 2 * np.logaddexp(0.0, u)
+    else:  # w = P^(-2/k)
+        log_w_x = u - (2.0 / k) * log_P
 
     def log_integral(log_f):
         top = np.max(log_f)
         return top + np.log(h * np.sum(np.exp(log_f - top)))
 
-    log_dens = np.array([log_integral(log_rho_x + q * u - log_P) for q in range(k + 1)])
-    return np.exp(log_integral(log_rho_x) - np.log(k + 1) - log_dens)
+    log_dens = np.array([log_integral(log_w_x + q * u - log_P) for q in range(k + 1)])
+    return np.exp(log_integral(log_w_x) - np.log(k + 1) - log_dens)
+
+
+def _certified_match_reference(op, spread, even=False):
+    """The number of 24 seeded starts at log10 spread in ``spread`` that op
+    certifies; each certified result must match the log-trapezoid reference."""
+    rng = np.random.default_rng(1)
+    certified = 0
+    for _ in range(24):
+        k = int(rng.integers(2, 9))
+        if even and k % 2:
+            k += 1
+        u = rng.uniform(0, 1, k + 1)
+        u = (u - u.min()) / (u.max() - u.min())
+        a = np.array([math.comb(k, q) for q in range(k + 1)]) * 10.0 ** (
+            rng.uniform(*spread) * u)
+        try:
+            got = OPS[op](a).coeffs
+        except QuadratureError:
+            continue
+        certified += 1
+        assert np.allclose(got, _log_trapezoid(op, a), rtol=1e-10, atol=0.0)
+    return certified
 
 
 def test_T_wide_spread_raises_or_matches_reference():
@@ -248,21 +276,15 @@ def test_T_wide_spread_raises_or_matches_reference():
     # reach: two levels can then miss the same peak of rho and agree
     with pytest.raises(QuadratureError, match="k=4"):
         apply_T((1, 1e40, 1, 1e40, 1))
-    rng = np.random.default_rng(1)
-    certified = 0
-    for _ in range(24):
-        k = int(rng.integers(2, 9))
-        u = rng.uniform(0, 1, k + 1)
-        u = (u - u.min()) / (u.max() - u.min())
-        a = np.array([math.comb(k, q) for q in range(k + 1)]) * 10.0 ** (
-            rng.uniform(30, 120) * u)
-        try:
-            got = apply_T(a).coeffs
-        except QuadratureError:
-            continue
-        certified += 1
-        assert np.allclose(got, _log_trapezoid_T(a), rtol=1e-10, atol=0.0)
-    assert certified >= 4
+    assert _certified_match_reference("T", (30, 120)) >= 4
+
+
+@pytest.mark.parametrize("op", ["Tnu", "TK"])
+def test_wide_spread_raises_or_matches_reference(op):
+    # the trace relation holds by construction for these maps (their
+    # numerators come from identities), so only a reference can catch a
+    # wrong density; they fail from smaller spreads than T
+    assert _certified_match_reference(op, (8, 60), even=op == "TK") >= 4
 
 
 def test_cached_tables_read_only_and_cold_equals_warm():

@@ -242,6 +242,12 @@ class TestSigmaPrediction:
     def test_bad_args(self):
         with pytest.raises(ValueError):
             sigma_predict_cpn(0, 2, True)
+        with pytest.raises(ValueError):
+            sigma_predict_cpn(1, -1, False)
+
+    def test_degree_zero(self):
+        # T_nu at k=0 is the identity: both laws are 0
+        assert sigma_predict_cpn(1, 0, True) == sigma_predict_cpn(3, 0, False) == 0.0
 
 
 class TestAgainstReferences:

@@ -186,6 +186,15 @@ class TestErrorSeriesAndSigma:
         with pytest.raises(ValueError, match="conv_tol must be > 0"):
             find_balanced("TK", TK_START, conv_tol=conv_tol)
 
+    def test_limit_rejects_infinite_conv_tol(self):
+        # every step size falls below it: the start itself would be the limit
+        with pytest.raises(ValueError, match="conv_tol must be finite, got inf"):
+            find_balanced("Tnu", (1.0, 25.0, 0.07, 13.0), conv_tol=float("inf"))
+
+    def test_sigma_probe_rejects_infinite_floor(self):
+        with pytest.raises(ValueError, match="err_floor must be finite, got inf"):
+            sigma_probe("TK", TK_START, err_floor=float("inf"))
+
 
 class TestSigmaClosedForm:
     def test_values(self):
