@@ -23,7 +23,9 @@ The round (multinomial) metric makes D identically 1 and is fixed exactly.
 After the Duffy map every term of D and every numerator is a product of
 one-axis factors t^e (1-t)^f, so each rule level is two tensor contractions:
 D = sum_p a_p prod_j F_j[p] over the node grid, then each numerator's
-per-axis factors (Jacobian and weights included) against 1/D.
+per-axis factors (Jacobian and weights included) against 1/D.  Both run as
+matrix products over slabs of the first axis, so no level holds more than
+48^3 grid points at a time.
 """
 
 from __future__ import annotations
@@ -61,6 +63,12 @@ __all__ = [
 ]
 
 _SUPPORTED_N = (1, 2, 3)
+
+# Most node-grid points one rule level holds at a time.  Finer levels are
+# evaluated in slabs along the first axis, so an application's peak memory
+# does not depend on the level it certifies at (a whole 96^3 grid and its
+# reciprocal take 14 MB).  On CP^3 the 24 and 48 levels are one slab.
+_GRID_BLOCK = 48 ** 3
 
 
 @dataclass(frozen=True)
@@ -173,6 +181,22 @@ def _orbits_from_maps(size: int, maps: list[np.ndarray]) -> tuple[tuple[int, ...
     return tuple(tuple(g) for _, g in sorted(groups.items()))
 
 
+@lru_cache(maxsize=None)
+def _all_permutation_actions(basis: MonomialBasis) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """The (n+1)! coordinate permutations in ``itertools`` order, and their
+    index maps stacked into one read-only (P, N) array."""
+    perms = tuple(itertools.permutations(range(basis.n + 1)))
+    maps = np.stack([permutation_action(basis, pi) for pi in perms])
+    maps.flags.writeable = False
+    return perms, maps
+
+
+@lru_cache(maxsize=256)
+def _invariant_orbits(basis: MonomialBasis,
+                      invariant: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    return _orbits_from_maps(basis.size, [permutation_action(basis, pi) for pi in invariant])
+
+
 def classify_symmetry(metric: MultiIndexMetric, tol: float = 1e-12) -> SymmetryClassification:
     """Test invariance under each of the (n+1)! coordinate permutations.
 
@@ -181,20 +205,14 @@ def classify_symmetry(metric: MultiIndexMetric, tol: float = 1e-12) -> SymmetryC
     """
     basis = metric.basis
     a = metric.coeffs
-    invariant: list[tuple[int, ...]] = []
-    maps: list[np.ndarray] = []
-    fixed_point_free = False
-    for pi in itertools.permutations(range(basis.n + 1)):
-        mp = permutation_action(basis, pi)
-        if np.all(np.abs(a[mp] - a) <= tol * np.maximum(a[mp], a)):
-            invariant.append(pi)
-            maps.append(mp)
-            if _is_fixed_point_free(pi):
-                fixed_point_free = True
+    perms, maps = _all_permutation_actions(basis)
+    images = a[maps]
+    holds = (np.abs(images - a) <= tol * np.maximum(images, a)).all(axis=1)
+    invariant = tuple(pi for pi, ok in zip(perms, holds.tolist()) if ok)
     return SymmetryClassification(
-        invariant_permutations=tuple(invariant),
-        orbits=_orbits_from_maps(basis.size, maps),
-        generally_symmetric=fixed_point_free,
+        invariant_permutations=invariant,
+        orbits=_invariant_orbits(basis, invariant),
+        generally_symmetric=any(_is_fixed_point_free(pi) for pi in invariant),
     )
 
 
@@ -243,6 +261,16 @@ def metric_from_class_values(basis: MonomialBasis, values) -> MultiIndexMetric:
     return MultiIndexMetric(basis, coeffs)
 
 
+def _leading_product(factors: list[np.ndarray], rows: slice) -> np.ndarray:
+    """prod_j factors[j][:, x_j] over the grid of all axes but the last, the
+    first axis restricted to ``rows``: shape (terms, grid points)."""
+    out = np.ones((len(factors[0]), 1))
+    for j, f in enumerate(factors[:-1]):
+        f = f[:, rows] if j == 0 else f
+        out = (out[:, :, None] * f[:, None, :]).reshape(len(f), -1)
+    return out
+
+
 def apply_Tnu_cpn(
     metric: MultiIndexMetric,
     tol: float = DEFAULT_APPLY_TOL,
@@ -271,21 +299,26 @@ def apply_Tnu_cpn(
     t_pow = np.array(basis.exponents)
     omt_pow = k - np.cumsum(t_pow, axis=1)
     num_t_pow, num_omt_pow = t_pow[reps], omt_pow[reps] + np.arange(n - 1, -1, -1)
-    axes = "abc"[:n]
-    denom_spec = ",".join("p" + ax for ax in axes) + "->" + axes
-    numer_spec = ",".join("i" + ax for ax in axes) + "," + axes + "->i"
 
     def evaluate(m: int) -> np.ndarray:
         t, omt, w = gauss_legendre_unit(m)
         pt = t[None, :] ** np.arange(k + 1)[:, None]
         pomt = omt[None, :] ** np.arange(k + n)[:, None]
-        # D = sum_p ah_p prod_j f_pj(t_j), then every representative numerator
-        # (weights included) against 1/D: two contractions over the node grid
+        # D = sum_p ah_p prod_j f_pj(t_j) over the node grid, then every
+        # representative numerator (weights included) against 1/D, one slab
+        # of the first axis at a time: two matrix products per slab, whose
+        # inner index is the term p and the last axis respectively
         denom = [pt[t_pow[:, j]] * pomt[omt_pow[:, j]] for j in range(n)]
         denom[0] = ah[:, None] * denom[0]
-        R = 1.0 / np.einsum(denom_spec, *denom, optimize=True)
         numer = [pt[num_t_pow[:, j]] * pomt[num_omt_pow[:, j]] * w for j in range(n)]
-        return np.einsum(numer_spec, *numer, R, optimize=True)
+        total = np.zeros(len(reps))
+        step = max(1, _GRID_BLOCK // m ** (n - 1))
+        for lo in range(0, m, step):
+            rows = slice(lo, lo + step)
+            R = _leading_product(denom, rows).T @ denom[-1]
+            np.divide(1.0, R, out=R)
+            total += np.einsum("il,li->i", _leading_product(numer, rows), R @ numer[-1].T)
+        return total
 
     integrals, _ = refine_by_doubling(evaluate, tol, DEFAULT_START_NODES[n], DEFAULT_NODE_CAP[n])
     rep_out = amax / (N * factorial(n) * integrals)

@@ -109,6 +109,23 @@ def _orbit(op, g0, tol: float):
             raise
 
 
+def _check_distance_limit(name: str, value: float, allow_zero: bool = False) -> None:
+    """Reject a run limit on distances outside (0, 1), or [0, 1) if allow_zero.
+    Distances are in natural-log units: a limit of 1 (a factor e in some
+    coefficient) or more is already met by the first steps of an ordinary
+    orbit, so it locates no limit and leaves no error to measure."""
+    above = value >= 0 if allow_zero else value > 0
+    if above and value < 1:
+        return
+    if not above:
+        rule = ">= 0" if allow_zero else "> 0"
+    elif value == float("inf"):
+        rule = "finite"
+    else:
+        rule = "< 1 (distances are in natural-log units)"
+    raise ValueError(f"{name} must be {rule}, got {value}")
+
+
 def _orbit_to_limit(op, g0, steps: int, conv_tol: float, max_iter: int,
                     tol: float) -> list:
     """The orbit [g0, ..., F^j(g0)] up to its balanced limit F^j(g0): the
@@ -116,8 +133,7 @@ def _orbit_to_limit(op, g0, steps: int, conv_tol: float, max_iter: int,
     within max_iter further applications, and passes its degree-2 check."""
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
-    if not 0 < conv_tol < float("inf"):
-        raise ValueError(f"conv_tol must be {'finite' if conv_tol > 0 else '> 0'}, got {conv_tol}")
+    _check_distance_limit("conv_tol", conv_tol)
     orbit = []
     step = float("inf")
     for r, g in enumerate(_orbit(op, g0, tol)):
@@ -300,9 +316,7 @@ def sigma_probe(op, g0, err_floor: float = DEFAULT_ERR_FLOOR,
     Returns (sigma_hat, steps_used) where sigma_hat is the latest ratio whose
     numerator exceeds err_floor.
     """
-    if not 0 <= err_floor < float("inf"):
-        raise ValueError(f"err_floor must be {'finite' if err_floor >= 0 else '>= 0'}, "
-                         f"got {err_floor}")
+    _check_distance_limit("err_floor", err_floor, allow_zero=True)
     if max_steps < 2:
         raise ValueError(f"max_steps must be >= 2 (a ratio needs three errors), "
                          f"got {max_steps}")

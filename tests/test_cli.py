@@ -231,6 +231,15 @@ class TestValidationErrors:
          "conv_tol must be finite, got inf"),
         (["sigma", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--err-floor", "inf"],
          "err_floor must be finite, got inf"),
+        # distances are in natural-log units: a limit of 1 or more is met by
+        # the first steps, which would be taken as the limit
+        (["iterate", "--op", "Tnu", "--k", "3", "--coeffs", "1,25,0.07,13", "--steps", "1",
+          "--conv-tol", "1e300"], "conv_tol must be < 1 (distances are in natural-log units), "
+         "got 1e+300"),
+        (["sigma", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--conv-tol", "1"],
+         "conv_tol must be < 1 (distances are in natural-log units), got 1.0"),
+        (["sigma", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--err-floor", "1e300"],
+         "err_floor must be < 1 (distances are in natural-log units), got 1e+300"),
         # checked before np.geomspace, which warns on a non-positive end point
         (["profile", "--op", "T", "--k", "2", "--coeffs", "1,2,1", "--x-min", "-1"],
          "--x-min must be finite and positive, got -1.0"),
@@ -240,7 +249,8 @@ class TestValidationErrors:
             "profile-steps", "iterate-conv-tol-negative", "iterate-conv-tol-nan",
             "sigma-conv-tol-negative", "sigma-conv-tol-nan", "sigma-err-floor-nan",
             "iterate-conv-tol-inf-tnu", "iterate-conv-tol-inf-tk", "sigma-conv-tol-inf",
-            "sigma-err-floor-inf",
+            "sigma-err-floor-inf", "iterate-conv-tol-huge", "sigma-conv-tol-one",
+            "sigma-err-floor-huge",
             "profile-x-min", "profile-x-max"])
     def test_run_limit_out_of_range(self, capsys, argv, message):
         with warnings.catch_warnings():

@@ -3,9 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
+import balmet.cpn as cpn
 from balmet import (
     MetricError,
     MultiIndexMetric,
+    QuadratureError,
     apply_Tnu,
     apply_Tnu_cpn,
     build_basis,
@@ -22,6 +24,19 @@ def random_cpn_metric(rng, n, k, spread=0.4):
     basis = build_basis(n, k)
     base = multinomial_coeffs(basis)
     return MultiIndexMetric(basis, base * np.exp(rng.uniform(-spread, spread, basis.size)))
+
+
+def record_levels(monkeypatch):
+    """The node counts per axis that apply_Tnu_cpn asks for, in order."""
+    levels = []
+    real = cpn.gauss_legendre_unit
+
+    def recording(m):
+        levels.append(m)
+        return real(m)
+
+    monkeypatch.setattr(cpn, "gauss_legendre_unit", recording)
+    return levels
 
 
 class TestBasis:
@@ -106,6 +121,43 @@ class TestClassifySymmetry:
         metric = MultiIndexMetric(basis, np.array([1.0, 300.0, 7.0, 300.0, 1.0]))
         assert classify_symmetry(metric).generally_symmetric
 
+    @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-3])
+    def test_matches_permutation_loop(self, tol):
+        # one permutation at a time, as in the definition: the invariant
+        # permutations, the orbits and their order must be the same
+        from balmet.cpn import _orbits_from_maps
+
+        rng = np.random.default_rng(11)
+        basis = build_basis(3, 4)
+        partial = metric_from_class_values(basis, (1, 20, 30, 40, 50)).coeffs.copy()
+        partial[[1, 2]] *= 1.5  # invariant under the identity and Z1 <-> Z2 only
+        pair_swap = np.empty(basis.size)  # invariant under (Z0 Z1)(Z2 Z3)
+        for orbit in cpn.permutation_orbits(basis, [(1, 0, 3, 2)]):
+            pair_swap[list(orbit)] = rng.uniform(1, 50)
+        metrics = [
+            metric_from_class_values(basis, (1, 20, 30, 40, 50)),
+            MultiIndexMetric(basis, partial),
+            MultiIndexMetric(basis, pair_swap),
+            MultiIndexMetric(basis, multinomial_coeffs(basis) * (1 + 1e-6 * rng.random(35))),
+            random_cpn_metric(rng, 3, 4),
+            random_cpn_metric(rng, 2, 3),
+            MultiIndexMetric(build_basis(2, 2), np.array([1.0, 2, 2, 1, 2, 1])),
+            MultiIndexMetric(build_basis(1, 4), np.array([1.0, 300.0, 7.0, 300.0, 1.0])),
+        ]
+        for metric in metrics:
+            a, n = metric.coeffs, metric.basis.n
+            invariant, maps = [], []
+            for pi in itertools.permutations(range(n + 1)):
+                mp = permutation_action(metric.basis, pi)
+                if np.all(np.abs(a[mp] - a) <= tol * np.maximum(a[mp], a)):
+                    invariant.append(pi)
+                    maps.append(mp)
+            cls = classify_symmetry(metric, tol=tol)
+            assert cls.invariant_permutations == tuple(invariant)
+            assert cls.orbits == _orbits_from_maps(metric.basis.size, maps)
+            assert cls.generally_symmetric == any(
+                all(pi[i] != i for i in range(n + 1)) for pi in invariant)
+
 
 class TestClassValues:
     def test_round_class_values(self):
@@ -134,6 +186,23 @@ class TestApply:
         want = {1: 4.3071170, 4: 6.5967335, 5: 13.0915039, 14: 25.9850356}
         for idx, val in want.items():
             assert norm[idx] == pytest.approx(val, abs=1e-4)
+
+    def test_cp3_ladder_starts_at_24(self, monkeypatch):
+        # the cpn-k4 start certifies from the 24/48 pair, without a 96^3 grid
+        levels = record_levels(monkeypatch)
+        apply_Tnu_cpn(metric_from_class_values(build_basis(3, 4), (1, 20, 30, 40, 50)))
+        assert levels == [24, 48]
+
+    @pytest.mark.parametrize("n, k", [(2, 3), (3, 2), (3, 4)])
+    def test_slabs_match_whole_grid(self, monkeypatch, n, k):
+        # every level in one slab, then in slabs of the first axis whose last
+        # one is short (CP^2: 63 + 1 rows at m=64; CP^3: 7+7+7+3 at m=24)
+        metric = random_cpn_metric(np.random.default_rng(11), n, k, spread=2.0)
+        monkeypatch.setattr(cpn, "_GRID_BLOCK", 10**9)
+        whole = apply_Tnu_cpn(metric)
+        monkeypatch.setattr(cpn, "_GRID_BLOCK", 7 * 24**2)
+        sliced = apply_Tnu_cpn(metric)
+        np.testing.assert_allclose(sliced.coeffs, whole.coeffs, rtol=1e-13)
 
     def test_trace_relation(self):
         rng = np.random.default_rng(5)
@@ -250,48 +319,112 @@ class TestSigmaPrediction:
         assert sigma_predict_cpn(1, 0, True) == sigma_predict_cpn(3, 0, False) == 0.0
 
 
+def pointwise_duffy_cp3(metric, m):
+    """T_nu on CP^3 by the Duffy rule with m nodes per axis, but with the
+    integrand evaluated point by point (one first-axis slice at a time)
+    instead of factored per axis: at each node the homogeneous coordinates u
+    and s = 1 - |u|, the monomials, D, and every numerator over D."""
+    from balmet.quadrature import gauss_legendre_unit
+
+    k, N = metric.basis.k, metric.basis.size
+    t, omt, w = gauss_legendre_unit(m)
+    o2, o3 = omt[:, None], omt[None, :]
+    total = np.zeros(N)
+    for t1, o1, w1 in zip(t, omt, w):
+        u1, u2, s = o1 * t[:, None], o1 * o2 * t[None, :], o1 * o2 * o3
+        # powers by repeated products; u2^c s^d once per (c, d) pair
+        pu1, pu2, ps = [np.ones_like(u1)], [np.ones_like(u2)], [np.ones_like(s)]
+        for _ in range(k):
+            pu1.append(pu1[-1] * u1)
+            pu2.append(pu2[-1] * u2)
+            ps.append(ps[-1] * s)
+        tail = {(c, d): pu2[c] * ps[d] for c in range(k + 1) for d in range(k + 1 - c)}
+        mono = np.array([t1**a * pu1[b] * tail[c, k - a - b - c]
+                         for a, b, c in metric.basis.exponents])
+        D = np.tensordot(metric.coeffs, mono, axes=1)
+        weight = w1 * o1**2 * (w * omt)[:, None] * w[None, :]
+        total += np.tensordot(mono, weight / D, axes=2)
+    return 1.0 / (N * 6 * total)
+
+
+def dblquad_cp2(metric, entries=None):
+    """T_nu on CP^2 from the defining integral over (0,inf)^2 by scipy's
+    adaptive rule: no homogeneous coordinates, no Duffy map, no
+    Gauss-Legendre nodes.  P is evaluated by Horner's rule in Python floats.
+    Returns the output coefficients at the given basis positions (all by
+    default); each one is a separate integral."""
+    from scipy.integrate import dblquad
+
+    k, N = metric.basis.k, metric.basis.size
+    rows = [[0.0] * (k + 1) for _ in range(k + 1)]  # rows[j][i]: coefficient of x^i y^j
+    for a, (i, j) in zip(metric.coeffs.tolist(), metric.basis.exponents):
+        rows[j][i] = a
+
+    def P(x, y):
+        total = 0.0
+        for row in reversed(rows):
+            r = 0.0
+            for a in reversed(row):
+                r = r * x + a
+            total = total * y + r
+        return total
+
+    want = []
+    for e1, e2 in (metric.basis.exponents[i] for i in (range(N) if entries is None else entries)):
+        val, _ = dblquad(lambda y, x: x**e1 * y**e2 / (P(x, y) * (1.0 + x + y) ** 3),
+                         0, np.inf, 0, np.inf, epsabs=0, epsrel=1e-12)
+        want.append(1.0 / (N * 2 * val))
+    return np.array(want)
+
+
+# The adversarial corpus of the tests below: one seeded start per (n, k,
+# natural-log spread), the round metric times the exponentials of offsets
+# drawn uniformly from [-spread, spread].  The seed is 0 except on CP^2 at
+# k=4, whose seed-0 starts all certify below 512 nodes and so cannot tell a
+# weakened certificate apart.  The starts in CORPUS_RAISES raise
+# QuadratureError at the node cap, from the 24-node CP^3 start and from the
+# 48-node one alike; every other start must certify and match its
+# independent reference.
+CORPUS_SPREADS = (0.5, 2, 4, 6)
+CORPUS_SEED = {(2, 4): 5}
+CORPUS_RAISES = {(3, 1, 6), (3, 3, 6), (3, 4, 4), (3, 4, 6), (2, 4, 6), (2, 5, 6)}
+
+
 class TestAgainstReferences:
     def test_cp3_matches_pointwise_duffy_rule(self):
-        # the same rule, but the Duffy-mapped integrand evaluated point by
-        # point on the node grid instead of factored per axis
-        from balmet.quadrature import gauss_legendre_unit
-
         metric = random_cpn_metric(np.random.default_rng(30), 3, 2)
-        k, N = metric.basis.k, metric.basis.size
-        t, omt, w = gauss_legendre_unit(96)
-        t1, t2, t3 = np.meshgrid(t, t, t, indexing="ij")
-        o1, o2, o3 = np.meshgrid(omt, omt, omt, indexing="ij")
-        u = (t1, o1 * t2, o1 * o2 * t3)
-        s = o1 * o2 * o3
-        weight = np.einsum("a,b,c->abc", w, w, w) * o1**2 * o2
-
-        def monomial(alpha):
-            return u[0]**alpha[0] * u[1]**alpha[1] * u[2]**alpha[2] * s**(k - sum(alpha))
-
-        D = sum(a * monomial(alpha) for a, alpha in zip(metric.coeffs, metric.basis.exponents))
-        want = np.array([1.0 / (N * 6 * np.sum(weight * monomial(alpha) / D))
-                         for alpha in metric.basis.exponents])
+        want = pointwise_duffy_cp3(metric, 96)
         got = apply_Tnu_cpn(metric).coeffs
         assert np.max(np.abs(got - want) / want) < 1e-13
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_cp2_matches_adaptive_quadrature(self, k):
-        # the defining integral over (0,inf)^2, by scipy's adaptive rule: no
-        # homogeneous coordinates, no Duffy map, no Gauss-Legendre nodes
-        from scipy.integrate import dblquad
-
         metric = random_cpn_metric(np.random.default_rng(20 + k), 2, k)
-        exps = metric.basis.exponents
-
-        def density(y, x):
-            D = sum(a * x**e1 * y**e2 for a, (e1, e2) in zip(metric.coeffs, exps))
-            return 1.0 / (D * (1.0 + x + y) ** 3)
-
-        N = metric.basis.size
-        want = np.empty(N)
-        for i, (e1, e2) in enumerate(exps):
-            val, _ = dblquad(lambda y, x: x**e1 * y**e2 * density(y, x),
-                             0, np.inf, 0, np.inf, epsabs=0, epsrel=1e-12)
-            want[i] = 1.0 / (N * 2 * val)
+        want = dblquad_cp2(metric)
         got = apply_Tnu_cpn(metric).coeffs
         assert np.max(np.abs(got - want) / want) < 1e-11
+
+    @pytest.mark.parametrize("n,k", [(3, 1), (3, 2), (3, 3), (3, 4),
+                                     (2, 2), (2, 3), (2, 4), (2, 5)])
+    def test_corpus_raises_or_matches_reference(self, monkeypatch, n, k):
+        # CP^3 against the pointwise Duffy rule on a grid twice as fine as the
+        # certified level (192 at most, the cap).  CP^2 against dblquad at the
+        # vertices 1, z1^k, z2^k, whose integrals sit in the corners of the
+        # simplex: dblquad costs 0.05-0.2 s per integral here
+        levels = record_levels(monkeypatch)
+        for spread in CORPUS_SPREADS:
+            seed = [n, k, round(10 * spread), CORPUS_SEED.get((n, k), 0)]
+            metric = random_cpn_metric(np.random.default_rng(seed), n, k, spread)
+            levels.clear()
+            if (n, k, spread) in CORPUS_RAISES:
+                with pytest.raises(QuadratureError):
+                    apply_Tnu_cpn(metric)
+                continue
+            got = apply_Tnu_cpn(metric).coeffs
+            if n == 3:
+                want = pointwise_duffy_cp3(metric, min(2 * levels[-1], 192))
+            else:
+                vertices = [0, metric.basis.position((k, 0)), metric.basis.position((0, k))]
+                got, want = got[vertices], dblquad_cp2(metric, vertices)
+            dev = np.max(np.abs(got - want) / want)
+            assert dev < 1e-11, f"spread {spread}: certified at m={levels[-1]}, off by {dev:.2e}"
