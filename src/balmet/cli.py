@@ -417,8 +417,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (QuadratureError, ConvergenceError) as exc:
-        # step_index is the index of the input a failing application got
-        where = [f"{args.op}, n={args.n}, k={args.k}"] if hasattr(args, "op") else []
+        # a QuadratureError names its map, n and k itself; step_index is the
+        # index of the input a failing application got
+        where = ([f"{args.op}, n={args.n}, k={args.k}"]
+                 if isinstance(exc, ConvergenceError) and hasattr(args, "op") else [])
         if hasattr(exc, "step_index"):
             where.append(f"step {exc.step_index}")
         context = f" ({', '.join(where)})" if where else ""

@@ -25,6 +25,9 @@ dens = _rows(k, m) @ (w0 f(Q)), for T with f = S/Q^3, S = c @ _rows(2k-2, m)
 and c_s = sum_{i+j-1=s, i>j} a_i a_j (i-j)^2.  Only they are certified: each
 numerator is a @ dens, and is taken as 1 for T_nu, k for T (rho = (x P'/P)'
 has mass k, and a @ dens is checked against it) and a @ dens for T_K.
+An application certifies from the 64/128 pair at least, so its first call
+forms both levels at once: one Q and one f over the tables of the two levels
+side by side (``pair=True``), then one product per level.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .quadrature import (
     DEFAULT_START_NODES,
     gauss_legendre_unit,
     refine_by_doubling,
+    scaled_reciprocals,
 )
 
 __all__ = [
@@ -87,21 +91,31 @@ class OperatorKind(enum.Enum):
             raise MetricError(f"T_K requires even degree k >= 2, got k={k}")
 
 
-@lru_cache(maxsize=64)
-def _rows(d: int, m: int) -> np.ndarray:
-    """Rows t^(3j) (1-t)^(3(d-j)), j = 0..d, at the m nodes (read-only)."""
-    t, omt, _ = gauss_legendre_unit(m)
-    j = np.arange(d + 1)[:, None]
-    rows = t[None, :] ** (_P * j) * omt[None, :] ** (_P * (d - j))
+@lru_cache(maxsize=128)
+def _rows(d: int, m: int, pair: bool = False) -> np.ndarray:
+    """Rows t^(3j) (1-t)^(3(d-j)), j = 0..d, at the m nodes (read-only).
+    With pair, the rows at m and at 2m nodes side by side.  A cp1-sweep
+    benchmark run builds 65 of these tables, pairs included; an LRU cache
+    smaller than a cyclic working set misses on every call."""
+    if pair:
+        rows = np.hstack((_rows(d, m, False), _rows(d, 2 * m, False)))
+    else:
+        t, omt, _ = gauss_legendre_unit(m)
+        j = np.arange(d + 1)[:, None]
+        rows = t[None, :] ** (_P * j) * omt[None, :] ** (_P * (d - j))
     rows.flags.writeable = False
     return rows
 
 
 @lru_cache(maxsize=64)
-def _node_weights(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Weight row w 3t^2 (1-t)^2 and T_nu factor at the m nodes (read-only)."""
-    t, omt, w = gauss_legendre_unit(m)
-    w0, nu = w * (3.0 * t**2 * omt**2), 1.0 / (t**_P + omt**_P) ** 2
+def _node_weights(m: int, pair: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Weight row w 3t^2 (1-t)^2 and T_nu factor at the m nodes (read-only).
+    With pair, those at m and at 2m nodes side by side."""
+    if pair:
+        w0, nu = map(np.hstack, zip(_node_weights(m, False), _node_weights(2 * m, False)))
+    else:
+        t, omt, w = gauss_legendre_unit(m)
+        w0, nu = w * (3.0 * t**2 * omt**2), 1.0 / (t**_P + omt**_P) ** 2
     w0.flags.writeable = nu.flags.writeable = False
     return w0, nu
 
@@ -129,29 +143,46 @@ def _apply_family(g, kind: OperatorKind, tol: float) -> DiagonalMetric:
     amax = float(g.coeffs.max())
     ah = g.coeffs / amax
     c = _density_coeffs(ah) if kind is OperatorKind.T else None
+    m0 = DEFAULT_START_NODES[1]
+    next_level = {}
 
     def evaluate(m: int) -> np.ndarray:
-        """dens_0, ..., dens_k with m nodes."""
-        w0, nu = _node_weights(m)
-        rows = _rows(k, m)
+        """dens_0, ..., dens_k with m nodes.  The first call, at m0, forms
+        the levels m0 and 2 m0 from side-by-side tables and hands 2 m0 back
+        on the next call."""
+        if m in next_level:
+            return next_level.pop(m)
+        pair = m == m0
+        w0, nu = _node_weights(m, pair)
+        rows = _rows(k, m, pair)
         Q = ah @ rows
         if kind is OperatorKind.TNU:
             f = nu / Q  # t^3 + (1-t)^3 homogenizes 1+x
         elif kind is OperatorKind.T:
-            f = c @ _rows(2 * k - 2, m) / Q / Q / Q  # S/Q^3 in steps: Q^3 can underflow
+            f = c @ _rows(2 * k - 2, m, pair) / Q / Q / Q  # S/Q^3 in steps: Q^3 can underflow
         else:
             f = np.exp((-2.0 / k) * np.log(Q)) / Q  # fractional power of the positive Q
-        return rows @ (w0 * f)
+        x = w0 * f
+        if not pair:
+            return rows @ x
+        next_level[2 * m] = rows[:, m:] @ x[m:]
+        return rows[:, :m] @ x[:m]
 
-    dens, _ = refine_by_doubling(evaluate, tol, DEFAULT_START_NODES[1], DEFAULT_NODE_CAP[1])
-    # Int dx/(1+x)^2 = 1, Int rho dx = k as rho = (x P'/P)', Int P^(-2/k) dx = a @ dens
-    mass = float(ah @ dens)
-    if kind is OperatorKind.T and abs(mass / k - 1.0) > tol:  # a peak of rho out of reach
-        raise QuadratureError(
-            f"T density mass {mass:.6g} != k={k}: the rule misses part of rho"
-            f" (coefficient spread max a / min a = {amax / g.coeffs.min():.3g})", best=dens)
-    num = 1.0 if kind is OperatorKind.TNU else k if kind is OperatorKind.T else mass
-    return DiagonalMetric(amax * num / ((k + 1) * dens))
+    try:
+        dens, _ = refine_by_doubling(evaluate, tol, m0, DEFAULT_NODE_CAP[1])
+        # Int dx/(1+x)^2 = 1, Int rho dx = k as rho = (x P'/P)', Int P^(-2/k) dx = a @ dens
+        mass = float(ah @ dens)
+        if kind is OperatorKind.T and abs(mass / k - 1.0) > tol:  # a peak of rho out of reach
+            raise QuadratureError(
+                f"density mass {mass:.6g} != k: the rule misses part of rho"
+                f" (coefficient spread max a / min a = {amax / float(g.coeffs.min()):.3g})",
+                best=dens)
+        num = 1.0 if kind is OperatorKind.TNU else k if kind is OperatorKind.T else mass
+        out = scaled_reciprocals(amax * num, (k + 1) * dens)
+    except QuadratureError as exc:
+        exc.args = (f"{kind.value}, n=1, k={k}: {exc}",)
+        raise
+    return DiagonalMetric.from_checked(out)
 
 
 def apply_T(g, tol: float = DEFAULT_APPLY_TOL) -> DiagonalMetric:

@@ -25,7 +25,10 @@ one-axis factors t^e (1-t)^f, so each rule level is two tensor contractions:
 D = sum_p a_p prod_j F_j[p] over the node grid, then each numerator's
 per-axis factors (Jacobian and weights included) against 1/D.  Both run as
 matrix products over slabs of the first axis, so no level holds more than
-48^3 grid points at a time.
+48^3 grid points at a time.  None of the factors depends on the metric: they
+are built once per basis, set of orbit representatives and node count, and
+cached read-only, so a level only scales the first axis of D by a before its
+two products.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .errors import MetricError
+from .errors import MetricError, QuadratureError
 from .metrics import MultiIndexMetric
 from .quadrature import (
     DEFAULT_APPLY_TOL,
@@ -45,6 +48,7 @@ from .quadrature import (
     DEFAULT_START_NODES,
     gauss_legendre_unit,
     refine_by_doubling,
+    scaled_reciprocals,
 )
 
 __all__ = [
@@ -261,12 +265,47 @@ def metric_from_class_values(basis: MonomialBasis, values) -> MultiIndexMetric:
     return MultiIndexMetric(basis, coeffs)
 
 
-def _leading_product(factors: list[np.ndarray], rows: slice) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _factor_tables(basis: MonomialBasis, reps: tuple[int, ...],
+                   m: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Per-axis factors at m nodes (read-only): the terms t^e (1-t)^f of every
+    basis element in D, without a, and the numerators of the representatives
+    reps with the Duffy Jacobian and the weights folded in."""
+    n, k = basis.n, basis.k
+    t, omt, w = gauss_legendre_unit(m)
+    pt = t[None, :] ** np.arange(k + 1)[:, None]
+    pomt = omt[None, :] ** np.arange(k + n)[:, None]
+    # Duffy pullback of u^alpha s^(k-|alpha|): t^alpha_j (1-t)^(k - alpha_1 -
+    # ... - alpha_j) on axis j; the numerators add the Jacobian (1-t)^(n-1-j)
+    t_pow = np.array(basis.exponents)
+    omt_pow = k - np.cumsum(t_pow, axis=1)
+    num_t_pow = t_pow[list(reps)]
+    num_omt_pow = omt_pow[list(reps)] + np.arange(n - 1, -1, -1)
+    denom = tuple(pt[t_pow[:, j]] * pomt[omt_pow[:, j]] for j in range(n))
+    numer = tuple(pt[num_t_pow[:, j]] * pomt[num_omt_pow[:, j]] * w for j in range(n))
+    for f in denom + numer:
+        f.flags.writeable = False
+    return denom, numer
+
+
+@lru_cache(maxsize=256)
+def _replication(orbits: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], np.ndarray]:
+    """The first index of each orbit, and for every basis index the position
+    of its orbit (read-only)."""
+    owner = np.empty(sum(map(len, orbits)), dtype=np.intp)
+    for i, orbit in enumerate(orbits):
+        owner[list(orbit)] = i
+    owner.flags.writeable = False
+    return tuple(orbit[0] for orbit in orbits), owner
+
+
+def _leading_product(factors: tuple[np.ndarray, ...], rows: slice) -> np.ndarray:
     """prod_j factors[j][:, x_j] over the grid of all axes but the last, the
     first axis restricted to ``rows``: shape (terms, grid points)."""
-    out = np.ones((len(factors[0]), 1))
-    for j, f in enumerate(factors[:-1]):
-        f = f[:, rows] if j == 0 else f
+    if len(factors) == 1:
+        return np.ones((len(factors[0]), 1))
+    out = factors[0][:, rows]
+    for f in factors[1:-1]:
         out = (out[:, :, None] * f[:, None, :]).reshape(len(f), -1)
     return out
 
@@ -285,32 +324,20 @@ def apply_Tnu_cpn(
     n, k = basis.n, basis.k
     if n not in _SUPPORTED_N:
         raise MetricError(f"unsupported dimension n={n}; this build handles n <= 3")
-    N = basis.size
     amax = float(np.max(metric.coeffs))
     ah = metric.coeffs / amax
     # orbits under the permutations that fix the coefficients bitwise: exact
     # equality means replication introduces no projection, and keeps iterates
     # of a symmetric start exactly symmetric
-    orbits = classify_symmetry(metric, tol=0.0).orbits
-    reps = [orbit[0] for orbit in orbits]
-
-    # Duffy pullback of u^alpha s^(k-|alpha|): t^alpha_j (1-t)^(k - alpha_1 -
-    # ... - alpha_j) on axis j; the numerators add the Jacobian (1-t)^(n-1-j)
-    t_pow = np.array(basis.exponents)
-    omt_pow = k - np.cumsum(t_pow, axis=1)
-    num_t_pow, num_omt_pow = t_pow[reps], omt_pow[reps] + np.arange(n - 1, -1, -1)
+    reps, owner = _replication(classify_symmetry(metric, tol=0.0).orbits)
 
     def evaluate(m: int) -> np.ndarray:
-        t, omt, w = gauss_legendre_unit(m)
-        pt = t[None, :] ** np.arange(k + 1)[:, None]
-        pomt = omt[None, :] ** np.arange(k + n)[:, None]
         # D = sum_p ah_p prod_j f_pj(t_j) over the node grid, then every
         # representative numerator (weights included) against 1/D, one slab
         # of the first axis at a time: two matrix products per slab, whose
         # inner index is the term p and the last axis respectively
-        denom = [pt[t_pow[:, j]] * pomt[omt_pow[:, j]] for j in range(n)]
-        denom[0] = ah[:, None] * denom[0]
-        numer = [pt[num_t_pow[:, j]] * pomt[num_omt_pow[:, j]] * w for j in range(n)]
+        denom, numer = _factor_tables(basis, reps, m)
+        denom = (ah[:, None] * denom[0],) + denom[1:]
         total = np.zeros(len(reps))
         step = max(1, _GRID_BLOCK // m ** (n - 1))
         for lo in range(0, m, step):
@@ -320,12 +347,14 @@ def apply_Tnu_cpn(
             total += np.einsum("il,li->i", _leading_product(numer, rows), R @ numer[-1].T)
         return total
 
-    integrals, _ = refine_by_doubling(evaluate, tol, DEFAULT_START_NODES[n], DEFAULT_NODE_CAP[n])
-    rep_out = amax / (N * factorial(n) * integrals)
-    out = np.empty(N)
-    for orbit, v in zip(orbits, rep_out):
-        out[list(orbit)] = v
-    return MultiIndexMetric(basis, out)
+    try:
+        integrals, _ = refine_by_doubling(evaluate, tol, DEFAULT_START_NODES[n],
+                                          DEFAULT_NODE_CAP[n])
+        rep_out = scaled_reciprocals(amax, basis.size * factorial(n) * integrals)
+    except QuadratureError as exc:
+        exc.args = (f"Tnu, n={n}, k={k}: {exc}",)
+        raise
+    return MultiIndexMetric.from_checked(basis, rep_out[owner])
 
 
 def sigma_predict_cpn(n: int, k: int, generally_symmetric: bool) -> float:

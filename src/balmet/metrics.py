@@ -60,6 +60,15 @@ class DiagonalMetric:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _validated_coeffs(self.coeffs))
 
+    @classmethod
+    def from_checked(cls, coeffs: np.ndarray) -> DiagonalMetric:
+        """Wrap coefficients a map has just checked (finite, positive, its
+        own array) without validating them again; made read-only in place."""
+        coeffs.flags.writeable = False
+        g = object.__new__(cls)
+        object.__setattr__(g, "coeffs", coeffs)
+        return g
+
     @property
     def k(self) -> int:
         return self.coeffs.size - 1
@@ -100,6 +109,16 @@ class MultiIndexMetric:
                 f"expected {self.basis.size} coefficients, got shape {a.shape}"
             )
         object.__setattr__(self, "coeffs", a)
+
+    @classmethod
+    def from_checked(cls, basis: MonomialBasis, coeffs: np.ndarray) -> MultiIndexMetric:
+        """Wrap coefficients a map has just checked (finite, positive, its
+        own array) without validating them again; made read-only in place."""
+        coeffs.flags.writeable = False
+        g = object.__new__(cls)
+        object.__setattr__(g, "basis", basis)
+        object.__setattr__(g, "coeffs", coeffs)
+        return g
 
     @property
     def k(self) -> int:

@@ -177,7 +177,9 @@ class TestValidationErrors:
                                  "--coeffs", "1,1e100,1", "--steps", "2")
         assert code == 2
         assert out == ""
-        assert err.startswith("numerical failure (T, n=1, k=2, step 0): ")
+        # the map, n and k come from the error, the step from the CLI, each once
+        assert err.startswith("numerical failure (step 0): T, n=1, k=2: no convergence")
+        assert err.count("n=1") == 1
 
     def test_missed_density_mass_is_a_numerical_failure(self, capsys):
         # both rule levels miss the same peaks of rho and agree; the mass does not
@@ -185,8 +187,20 @@ class TestValidationErrors:
                                  "--coeffs", "1,1e40,1,1e40,1", "--steps", "1")
         assert code == 2
         assert out == ""
-        assert err.startswith("numerical failure (T, n=1, k=4, step 0): ")
+        assert err.startswith("numerical failure (step 0): T, n=1, k=4: density mass")
         assert "max a / min a = 1e+40" in err
+
+    def test_overflowing_image_is_a_numerical_failure(self, capsys):
+        # a valid start whose image leaves floating-point range: the map
+        # fails, not the input, and numpy emits no overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "iterate", "--op", "Tnu", "--k", "2",
+                                     "--coeffs", "1.7e308,1,1.7e308", "--steps", "1")
+        assert code == 2
+        assert out == ""
+        assert err == ("numerical failure (step 0): Tnu, n=1, k=2: the image of a valid"
+                       " metric leaves floating-point range\n")
 
     @pytest.mark.parametrize("argv, message", [
         (["iterate", "--op", "T", "--k", "2", "--coeffs", "1,x,3", "--steps", "1"],

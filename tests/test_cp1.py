@@ -274,7 +274,7 @@ def _certified_match_reference(op, spread, even=False):
 def test_T_wide_spread_raises_or_matches_reference():
     # log10 spreads of 30-120 put Newton-polygon breakpoints past the nodes'
     # reach: two levels can then miss the same peak of rho and agree
-    with pytest.raises(QuadratureError, match="k=4"):
+    with pytest.raises(QuadratureError, match=r"^T, n=1, k=4: density mass"):
         apply_T((1, 1e40, 1, 1e40, 1))
     assert _certified_match_reference("T", (30, 120)) >= 4
 
@@ -298,8 +298,81 @@ def test_cached_tables_read_only_and_cold_equals_warm():
         cold = OPS[op](g).coeffs
         assert np.array_equal(OPS[op](g).coeffs, cold)
     assert not cp1._rows(6, 64).flags.writeable
+    assert not cp1._rows(6, 64, True).flags.writeable
     assert not any(a.flags.writeable for a in cp1._node_weights(64))
+    assert not any(a.flags.writeable for a in cp1._node_weights(64, True))
     assert not any(a.flags.writeable for a in cp1._pairs(7))
+
+
+def _separate_level(op, a, m):
+    """The densities of one rule level on its own tables: the level the
+    first call of an application forms side by side with the next one."""
+    from balmet import cp1
+
+    k = a.size - 1
+    ah = a / a.max()
+    w0, nu = cp1._node_weights(m, False)
+    rows = cp1._rows(k, m, False)
+    Q = ah @ rows
+    if op == "Tnu":
+        f = nu / Q
+    elif op == "T":
+        f = cp1._density_coeffs(ah) @ cp1._rows(2 * k - 2, m, False) / Q / Q / Q
+    else:
+        f = np.exp((-2.0 / k) * np.log(Q)) / Q
+    return rows @ (w0 * f)
+
+
+def test_fused_first_pair_matches_separate_levels(monkeypatch):
+    from balmet import cp1
+
+    levels = []
+    real = cp1.refine_by_doubling
+
+    def recording(evaluate, *args):
+        def recorded(m):
+            levels.append((m, evaluate(m)))
+            return levels[-1][1]
+        return real(recorded, *args)
+
+    monkeypatch.setattr(cp1, "refine_by_doubling", recording)
+    rng = np.random.default_rng(17)
+    top = 0
+    for op in OPS:
+        for k in range(1, 13):
+            if not applicable(op, k):
+                continue
+            for spread in (0.0, 2.0, 4.0, 6.0, 8.0):
+                u = rng.uniform(0, 1, k + 1)
+                a = np.array([math.comb(k, q) for q in range(k + 1)]) * 10.0 ** (spread * u)
+                levels.clear()
+                try:
+                    OPS[op](a)
+                except QuadratureError:
+                    pass
+                assert [m for m, _ in levels[:2]] == [64, 128]
+                for m, dens in levels:
+                    assert np.array_equal(dens, _separate_level(op, a, m)), (op, k, spread, m)
+                top = max(top, levels[-1][0])
+    assert top > 128
+
+
+@pytest.mark.parametrize("op", ["T", "Tnu", "TK"])
+def test_overflowing_image_raises_quadrature_error(op):
+    # a valid start whose middle image coefficient is about 3.4e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(QuadratureError, match=rf"^{op}, n=1, k=2: the image of a valid"
+                                                  " metric leaves floating-point range$"):
+            OPS[op]((1.7e308, 1.0, 1.7e308))
+
+
+def test_T_mass_failure_past_floating_range_names_an_infinite_spread():
+    # the spread 1e600 itself leaves floating-point range: no overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(QuadratureError, match=r"density mass .* max a / min a = inf\)$"):
+            apply_T((1e-300, 1e300, 1e-300))
 
 
 def test_density_coeffs_match_the_pair_sum():

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -27,15 +28,18 @@ def random_cpn_metric(rng, n, k, spread=0.4):
 
 
 def record_levels(monkeypatch):
-    """The node counts per axis that apply_Tnu_cpn asks for, in order."""
+    """The node counts per axis that apply_Tnu_cpn evaluates, in order: the
+    levels ``cpn.refine_by_doubling`` passes to ``evaluate``."""
     levels = []
-    real = cpn.gauss_legendre_unit
+    real = cpn.refine_by_doubling
 
-    def recording(m):
-        levels.append(m)
-        return real(m)
+    def recording(evaluate, *args):
+        def recorded(m):
+            levels.append(m)
+            return evaluate(m)
+        return real(recorded, *args)
 
-    monkeypatch.setattr(cpn, "gauss_legendre_unit", recording)
+    monkeypatch.setattr(cpn, "refine_by_doubling", recording)
     return levels
 
 
@@ -203,6 +207,45 @@ class TestApply:
         monkeypatch.setattr(cpn, "_GRID_BLOCK", 7 * 24**2)
         sliced = apply_Tnu_cpn(metric)
         np.testing.assert_allclose(sliced.coeffs, whole.coeffs, rtol=1e-13)
+
+    def test_cpn_cached_tables_read_only_and_cold_equals_warm(self):
+        # interleaved, so that two of these sharing a table key would show;
+        # the last one shares the symmetric start's basis, not its orbits
+        rng = np.random.default_rng(13)
+        metrics = [random_cpn_metric(rng, 2, 3, spread=2.0),
+                   metric_from_class_values(build_basis(3, 4), (1, 20, 30, 40, 50)),
+                   random_cpn_metric(rng, 3, 2, spread=2.0),
+                   random_cpn_metric(rng, 3, 4)]
+        cold = []
+        for metric in metrics:
+            cpn._factor_tables.cache_clear()
+            cpn._replication.cache_clear()
+            cold.append(apply_Tnu_cpn(metric).coeffs)
+        for _ in range(2):
+            for metric, want in zip(metrics, cold):
+                assert np.array_equal(apply_Tnu_cpn(metric).coeffs, want)
+        reps, owner = cpn._replication(full_symmetry_orbits(build_basis(3, 4)))
+        assert reps == (0, 1, 4, 5, 14)
+        assert not owner.flags.writeable
+        for basis, reps, m in [(build_basis(2, 3), tuple(range(10)), 64),
+                               (build_basis(3, 4), reps, 48),
+                               (build_basis(3, 2), tuple(range(10)), 24)]:
+            denom, numer = cpn._factor_tables(basis, reps, m)
+            assert not any(f.flags.writeable for f in denom + numer)
+            assert len(denom[0]) == basis.size and len(numer[0]) == len(reps)
+
+    def test_overflowing_image_raises_quadrature_error(self):
+        # the round CP^2 k=3 metric with its vertex coefficients raised
+        # tenfold, scaled to 1.5e308: its image's largest coefficient is 1.64
+        # times its own
+        basis = build_basis(2, 3)
+        vertex = [max(e + (3 - sum(e),)) == 3 for e in basis.exponents]
+        coeffs = multinomial_coeffs(basis) * np.where(vertex, 1.5e308, 1.5e307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(QuadratureError, match=r"^Tnu, n=2, k=3: the image of a valid"
+                                                      " metric leaves floating-point range$"):
+                apply_Tnu_cpn(MultiIndexMetric(basis, coeffs))
 
     def test_trace_relation(self):
         rng = np.random.default_rng(5)
@@ -417,7 +460,7 @@ class TestAgainstReferences:
             metric = random_cpn_metric(np.random.default_rng(seed), n, k, spread)
             levels.clear()
             if (n, k, spread) in CORPUS_RAISES:
-                with pytest.raises(QuadratureError):
+                with pytest.raises(QuadratureError, match=rf"^Tnu, n={n}, k={k}: no convergence"):
                     apply_Tnu_cpn(metric)
                 continue
             got = apply_Tnu_cpn(metric).coeffs
