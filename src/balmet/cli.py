@@ -141,6 +141,8 @@ def _check_start_args(args) -> None:
         raise MetricError(f"projective dimension n={args.n} unsupported; expected 1..3")
     if args.k < 0:
         raise MetricError("k must be nonnegative")
+    if args.family == "binomial" and args.n != 1:
+        raise MetricError("--family binomial applies to CP^1 (n=1) only")
     # the family flags are read only for a start of their family
     for flag, value, reads, start in (
             ("--alpha", args.alpha, args.family is not None, "--family"),
@@ -417,14 +419,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (QuadratureError, ConvergenceError) as exc:
-        # a QuadratureError names its map, n and k itself; step_index is the
-        # index of the input a failing application got
-        where = ([f"{args.op}, n={args.n}, k={args.k}"]
-                 if isinstance(exc, ConvergenceError) and hasattr(args, "op") else [])
-        if hasattr(exc, "step_index"):
-            where.append(f"step {exc.step_index}")
-        context = f" ({', '.join(where)})" if where else ""
-        print(f"numerical failure{context}: {exc}", file=sys.stderr)
+        # the error names its map, n and k itself; step_index is the index of
+        # the input a failing application got
+        step = f" (step {exc.step_index})" if hasattr(exc, "step_index") else ""
+        print(f"numerical failure{step}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

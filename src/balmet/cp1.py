@@ -140,7 +140,8 @@ def _apply_family(g, kind: OperatorKind, tol: float) -> DiagonalMetric:
     g = as_cp1_metric(g)
     k = g.k
     kind.validate_degree(k)
-    amax = float(g.coeffs.max())
+    coeffs = g.coeffs.tolist()  # few: Python's min and max beat numpy's reductions
+    amax = max(coeffs)
     ah = g.coeffs / amax
     c = _density_coeffs(ah) if kind is OperatorKind.T else None
     m0 = DEFAULT_START_NODES[1]
@@ -169,16 +170,27 @@ def _apply_family(g, kind: OperatorKind, tol: float) -> DiagonalMetric:
         return rows[:, :m] @ x[:m]
 
     try:
-        dens, _ = refine_by_doubling(evaluate, tol, m0, DEFAULT_NODE_CAP[1])
+        # Q >= min(ah) 8^-k at every node, and from 1e-90 on no f can leave
+        # floating-point range.  Below, Q may underflow: numpy raises there
+        # instead of warning (errstate costs ~4 us an application, so only there)
+        if min(coeffs) / amax * 0.125 ** k >= 1e-90:
+            dens, _ = refine_by_doubling(evaluate, tol, m0, DEFAULT_NODE_CAP[1])
+        else:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                dens, _ = refine_by_doubling(evaluate, tol, m0, DEFAULT_NODE_CAP[1])
         # Int dx/(1+x)^2 = 1, Int rho dx = k as rho = (x P'/P)', Int P^(-2/k) dx = a @ dens
         mass = float(ah @ dens)
         if kind is OperatorKind.T and abs(mass / k - 1.0) > tol:  # a peak of rho out of reach
             raise QuadratureError(
                 f"density mass {mass:.6g} != k: the rule misses part of rho"
-                f" (coefficient spread max a / min a = {amax / float(g.coeffs.min()):.3g})",
+                f" (coefficient spread max a / min a = {amax / min(coeffs):.3g})",
                 best=dens)
         num = 1.0 if kind is OperatorKind.TNU else k if kind is OperatorKind.T else mass
         out = scaled_reciprocals(amax * num, (k + 1) * dens)
+    except FloatingPointError:
+        raise QuadratureError(
+            f"{kind.value}, n=1, k={k}: the integrands leave floating-point range"
+            f" (coefficient spread max a / min a = {amax / min(coeffs):.3g})") from None
     except QuadratureError as exc:
         exc.args = (f"{kind.value}, n=1, k={k}: {exc}",)
         raise

@@ -88,15 +88,7 @@ class MonomialBasis:
         return len(self.exponents)
 
     def position(self, alpha: tuple[int, ...]) -> int:
-        return _position_map(self)[alpha]
-
-    def degree(self, i: int) -> int:
-        return sum(self.exponents[i])
-
-
-@lru_cache(maxsize=None)
-def _position_map(basis: MonomialBasis) -> dict[tuple[int, ...], int]:
-    return {a: i for i, a in enumerate(basis.exponents)}
+        return self.exponents.index(tuple(alpha))
 
 
 @lru_cache(maxsize=None)
@@ -119,36 +111,39 @@ def build_basis(n: int, k: int) -> MonomialBasis:
     return basis
 
 
+@lru_cache(maxsize=None)
+def _symmetries(basis: MonomialBasis) -> tuple[tuple[tuple[int, ...], ...], np.ndarray, tuple]:
+    """The (n+1)! homogeneous-coordinate permutations in ``itertools`` order,
+    their index maps (see ``permutation_action``) as one read-only (P, N)
+    array, and the mask of the permutations that move every coordinate."""
+    n, k = basis.n, basis.k
+    perms = tuple(itertools.permutations(range(n + 1)))
+    # pi moves the exponent of Z_j in (k - |alpha|, alpha) to position pi(j);
+    # an image is looked up by its affine exponents read as digits in base k+1
+    exps = np.array(basis.exponents)
+    homog = np.column_stack((k - exps.sum(axis=1), exps))
+    radix = (k + 1) ** np.arange(n)
+    position = np.empty((k + 1) ** n, dtype=np.intp)
+    position[(exps * radix).sum(axis=1)] = np.arange(basis.size)
+    inverse = [[pi.index(j) for j in range(1, n + 1)] for pi in perms]
+    maps = position[(homog[:, inverse] * radix).sum(axis=2).T]
+    maps.flags.writeable = False
+    return perms, maps, tuple(all(pi[i] != i for i in range(n + 1)) for pi in perms)
+
+
 def permutation_action(basis: MonomialBasis, pi) -> np.ndarray:
     """Index permutation induced by the coordinate substitution Z_i -> Z_pi(i).
 
     Each affine multi-index is lifted to the homogeneous exponent vector
     (k - |alpha|, alpha), the positions are permuted, and the result projected
-    back.  Returns the bijection as an integer array: entry i is the index of
-    the monomial that w_i is carried to.
+    back.  Returns the bijection as a read-only integer array: entry i is the
+    index of the monomial that w_i is carried to.
     """
     pi = tuple(pi)
     if sorted(pi) != list(range(basis.n + 1)):
         raise ValueError(f"not a permutation of 0..{basis.n}: {pi!r}")
-    return _permutation_action_cached(basis, pi)
-
-
-@lru_cache(maxsize=None)
-def _permutation_action_cached(basis: MonomialBasis, pi: tuple[int, ...]) -> np.ndarray:
-    inv = [0] * len(pi)
-    for i, v in enumerate(pi):
-        inv[v] = i
-    out = np.empty(basis.size, dtype=np.intp)
-    for i, alpha in enumerate(basis.exponents):
-        beta = (basis.k - sum(alpha),) + alpha
-        image = tuple(beta[inv[j]] for j in range(len(pi)))
-        out[i] = basis.position(image[1:])
-    out.flags.writeable = False
-    return out
-
-
-def _is_fixed_point_free(pi: tuple[int, ...]) -> bool:
-    return all(pi[i] != i for i in range(len(pi)))
+    perms, maps, _ = _symmetries(basis)
+    return maps[perms.index(pi)]
 
 
 @dataclass(frozen=True)
@@ -166,39 +161,41 @@ class SymmetryClassification:
 
 
 def _orbits_from_maps(size: int, maps: list[np.ndarray]) -> tuple[tuple[int, ...], ...]:
-    parent = list(range(size))
+    """Orbits of 0..size-1 under the group the index maps generate, each in
+    increasing order, ordered by their smallest index.  Every index takes the
+    smallest label among its images until the labels settle; as the maps are
+    bijections, each orbit settles on its smallest index."""
+    maps = np.vstack((np.arange(size), np.reshape(maps, (-1, size)))).astype(np.intp)
+    labels = maps[0]
+    while ((settled := labels[maps].min(axis=0)) != labels).any():
+        labels = settled
+    orbits: dict[int, list[int]] = {}
+    for i, label in enumerate(labels.tolist()):
+        orbits.setdefault(label, []).append(i)
+    return tuple(map(tuple, orbits.values()))
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    for mp in maps:
-        for i in range(size):
-            ri, rj = find(i), find(int(mp[i]))
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    groups: dict[int, list[int]] = {}
-    for i in range(size):
-        groups.setdefault(find(i), []).append(i)
-    return tuple(tuple(g) for _, g in sorted(groups.items()))
+def _invariance(metric: MultiIndexMetric, tol: float) -> tuple[bool, ...]:
+    """For each permutation of ``_symmetries``, whether it leaves the
+    coefficients invariant to relative tolerance tol."""
+    a = metric.coeffs
+    images = a[_symmetries(metric.basis)[1]]
+    return tuple((np.abs(images - a) <= tol * np.maximum(images, a)).all(axis=1).tolist())
 
 
 @lru_cache(maxsize=None)
-def _all_permutation_actions(basis: MonomialBasis) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """The (n+1)! coordinate permutations in ``itertools`` order, and their
-    index maps stacked into one read-only (P, N) array."""
-    perms = tuple(itertools.permutations(range(basis.n + 1)))
-    maps = np.stack([permutation_action(basis, pi) for pi in perms])
-    maps.flags.writeable = False
-    return perms, maps
-
-
-@lru_cache(maxsize=256)
-def _invariant_orbits(basis: MonomialBasis,
-                      invariant: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    return _orbits_from_maps(basis.size, [permutation_action(basis, pi) for pi in invariant])
+def _partition(basis: MonomialBasis, invariant: tuple[bool, ...]
+               ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], np.ndarray]:
+    """The orbits under the permutations that the mask ``invariant`` selects,
+    their first indices, and for every basis index the position of its orbit
+    (read-only).  At tol 0 the selected permutations form a subgroup of
+    Sym(n+1), so a basis has at most 30 keys for n <= 3."""
+    orbits = _orbits_from_maps(basis.size, _symmetries(basis)[1][np.array(invariant)])
+    owner = np.empty(basis.size, dtype=np.intp)
+    for i, orbit in enumerate(orbits):
+        owner[list(orbit)] = i
+    owner.flags.writeable = False
+    return orbits, tuple(orbit[0] for orbit in orbits), owner
 
 
 def classify_symmetry(metric: MultiIndexMetric, tol: float = 1e-12) -> SymmetryClassification:
@@ -207,16 +204,12 @@ def classify_symmetry(metric: MultiIndexMetric, tol: float = 1e-12) -> SymmetryC
     Invariance of coefficients is checked to relative tolerance tol; the orbit
     partition is taken under the subgroup of all invariant permutations.
     """
-    basis = metric.basis
-    a = metric.coeffs
-    perms, maps = _all_permutation_actions(basis)
-    images = a[maps]
-    holds = (np.abs(images - a) <= tol * np.maximum(images, a)).all(axis=1)
-    invariant = tuple(pi for pi, ok in zip(perms, holds.tolist()) if ok)
+    perms, _, moves_all = _symmetries(metric.basis)
+    invariant = _invariance(metric, tol)
     return SymmetryClassification(
-        invariant_permutations=invariant,
-        orbits=_invariant_orbits(basis, invariant),
-        generally_symmetric=any(_is_fixed_point_free(pi) for pi in invariant),
+        invariant_permutations=tuple(itertools.compress(perms, invariant)),
+        orbits=_partition(metric.basis, invariant)[0],
+        generally_symmetric=any(itertools.compress(moves_all, invariant)),
     )
 
 
@@ -243,7 +236,7 @@ def permutation_orbits(basis: MonomialBasis, perms) -> tuple[tuple[int, ...], ..
 def full_symmetry_orbits(basis: MonomialBasis) -> tuple[tuple[int, ...], ...]:
     """Orbit partition of basis indices under the full group Sym(n+1),
     ordered by first occurrence (orbit representatives in basis order)."""
-    return permutation_orbits(basis, itertools.permutations(range(basis.n + 1)))
+    return _partition(basis, (True,) * factorial(basis.n + 1))[0]
 
 
 def metric_from_class_values(basis: MonomialBasis, values) -> MultiIndexMetric:
@@ -252,17 +245,14 @@ def metric_from_class_values(basis: MonomialBasis, values) -> MultiIndexMetric:
     Values are matched to orbits in representative order; e.g. for n=3, k=4
     the five orbits are represented by 1, z1, z1^2, z1*z2, z1*z2*z3.
     """
-    orbits = full_symmetry_orbits(basis)
+    orbits, _, owner = _partition(basis, (True,) * factorial(basis.n + 1))
     values = np.asarray(values, dtype=float)
     if values.shape != (len(orbits),):
         raise MetricError(
             f"expected {len(orbits)} class values for n={basis.n}, k={basis.k}, "
             f"got {values.size}"
         )
-    coeffs = np.empty(basis.size)
-    for orbit, v in zip(orbits, values):
-        coeffs[list(orbit)] = v
-    return MultiIndexMetric(basis, coeffs)
+    return MultiIndexMetric(basis, values[owner])
 
 
 @lru_cache(maxsize=64)
@@ -286,17 +276,6 @@ def _factor_tables(basis: MonomialBasis, reps: tuple[int, ...],
     for f in denom + numer:
         f.flags.writeable = False
     return denom, numer
-
-
-@lru_cache(maxsize=256)
-def _replication(orbits: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], np.ndarray]:
-    """The first index of each orbit, and for every basis index the position
-    of its orbit (read-only)."""
-    owner = np.empty(sum(map(len, orbits)), dtype=np.intp)
-    for i, orbit in enumerate(orbits):
-        owner[list(orbit)] = i
-    owner.flags.writeable = False
-    return tuple(orbit[0] for orbit in orbits), owner
 
 
 def _leading_product(factors: tuple[np.ndarray, ...], rows: slice) -> np.ndarray:
@@ -329,7 +308,7 @@ def apply_Tnu_cpn(
     # orbits under the permutations that fix the coefficients bitwise: exact
     # equality means replication introduces no projection, and keeps iterates
     # of a symmetric start exactly symmetric
-    reps, owner = _replication(classify_symmetry(metric, tol=0.0).orbits)
+    _, reps, owner = _partition(basis, _invariance(metric, 0.0))
 
     def evaluate(m: int) -> np.ndarray:
         # D = sum_p ah_p prod_j f_pj(t_j) over the node grid, then every

@@ -134,9 +134,10 @@ def _orbit_to_limit(op, g0, steps: int, conv_tol: float, max_iter: int,
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     _check_distance_limit("conv_tol", conv_tol)
+    kind = OperatorKind.parse(op)
     orbit = []
     step = float("inf")
-    for r, g in enumerate(_orbit(op, g0, tol)):
+    for r, g in enumerate(_orbit(kind, g0, tol)):
         if r > steps:
             step = _shape_distance(orbit[-1], g)
         orbit.append(g)
@@ -144,19 +145,20 @@ def _orbit_to_limit(op, g0, steps: int, conv_tol: float, max_iter: int,
             break
         if r - steps >= max_iter:
             raise ConvergenceError(
-                f"no balanced limit within {max_iter} iterations "
-                f"(last step size {step:.3e})",
+                f"{kind.value}, n={g.n}, k={g.k}: no balanced limit within {max_iter} iterations"
+                f" (last step size {step:.3e})",
                 last=g, step_size=step,
             )
     limit = orbit[-1]
     # T and T_K run on CP^1 metrics only (apply_step rejects the rest)
-    if limit.k == 2 and OperatorKind.parse(op) in (OperatorKind.T, OperatorKind.TK):
+    if limit.k == 2 and kind in (OperatorKind.T, OperatorKind.TK):
         predicted = _first_normalized(predict_balanced_direction_k2(orbit[0]))
         got = _first_normalized(limit)
         dev = float(np.max(np.abs(got.coeffs / predicted.coeffs - 1.0)))
         if dev > 1e-6:
             raise ConvergenceError(
-                f"degree-2 limit deviates from the conserved direction by {dev:.3e}",
+                f"{kind.value}, n=1, k=2: degree-2 limit deviates from the conserved"
+                f" direction by {dev:.3e}",
                 last=limit, step_size=step,
             )
     return orbit
@@ -293,13 +295,13 @@ def coordinate_sigma_series(traj: Trajectory, coord: int = 1) -> list[float]:
     return out
 
 
-def _latest_ratio(errs, err_floor: float) -> tuple[float, int]:
+def _latest_ratio(errs, err_floor: float, context: str) -> tuple[float, int]:
     """(errs[r] / errs[r-1], r) for the latest r with errs[r] above err_floor,
     needing 3 such errors; ratios below the floor are quadrature noise."""
     above = [r for r, e in enumerate(errs) if e > err_floor]
     if len(above) < 3:
-        raise ConvergenceError("trajectory reached the error floor too quickly "
-                               "for a ratio estimate")
+        raise ConvergenceError(f"{context}: trajectory reached the error floor too"
+                               " quickly for a ratio estimate")
     r = above[-1]
     return errs[r] / errs[r - 1], r
 
@@ -320,17 +322,17 @@ def sigma_probe(op, g0, err_floor: float = DEFAULT_ERR_FLOOR,
     if max_steps < 2:
         raise ValueError(f"max_steps must be >= 2 (a ratio needs three errors), "
                          f"got {max_steps}")
-    g0 = as_metric(g0)
-    if g0.k == 0 and OperatorKind.parse(op) is OperatorKind.TNU:
+    g0, kind = as_metric(g0), OperatorKind.parse(op)
+    if g0.k == 0 and kind is OperatorKind.TNU:
         raise MetricError("T_nu at k=0 is the identity map: "
                           "there is no contraction ratio to estimate")
-    orbit = _orbit_to_limit(op, g0, 0, conv_tol, max_iter, tol)
+    orbit = _orbit_to_limit(kind, g0, 0, conv_tol, max_iter, tol)
     errs = [_shape_distance(g0, orbit[-1])]
     for g in orbit[1:]:
         if len(errs) > max_steps or errs[-1] <= err_floor:
             break
         errs.append(_shape_distance(g, orbit[-1]))
-    return _latest_ratio(errs, err_floor)
+    return _latest_ratio(errs, err_floor, f"{kind.value}, n={g0.n}, k={g0.k}")
 
 
 def sigma_closed_form(op, k: int, palindromic: bool = False) -> float:

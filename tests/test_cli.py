@@ -202,6 +202,29 @@ class TestValidationErrors:
         assert err == ("numerical failure (step 0): Tnu, n=1, k=2: the image of a valid"
                        " metric leaves floating-point range\n")
 
+    def test_unconverged_limit_names_the_map_once(self, capsys):
+        # the ConvergenceError names the canonical map, n and k itself; a
+        # limit is not an application, so there is no step
+        code, out, err = run_cli(capsys, "iterate", "--op", "tk", "--k", "2",
+                                 "--coeffs", "1,17,36", "--steps", "1", "--max-iter", "2")
+        assert code == 2
+        assert out == ""
+        assert err == ("numerical failure: TK, n=1, k=2: no balanced limit within 2"
+                       " iterations (last step size 1.286e-02)\n")
+
+    @pytest.mark.parametrize("op", ["Tnu", "TK"])
+    def test_integrands_past_floating_range_are_a_numerical_failure(self, capsys, op):
+        # a spread of 1e600 underflows Q at some nodes: exit 2, no numpy warning
+        coeffs = ",".join(["1e-300"] + ["1"] * 15 + ["1e300"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "iterate", "--op", op, "--k", "16",
+                                     "--coeffs", coeffs, "--steps", "1")
+        assert code == 2
+        assert out == ""
+        assert err == (f"numerical failure (step 0): {op}, n=1, k=16: the integrands leave"
+                       " floating-point range (coefficient spread max a / min a = inf)\n")
+
     @pytest.mark.parametrize("argv, message", [
         (["iterate", "--op", "T", "--k", "2", "--coeffs", "1,x,3", "--steps", "1"],
          "could not parse coefficient list '1,x,3'"),
@@ -273,6 +296,32 @@ class TestValidationErrors:
         assert code == 1
         assert out == ""
         assert message in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--n", "2", "--k", "2", "--coeffs", "1,2,2"],
+         "expected 6 coefficients for n=2, k=2, got 3"),
+        (["--k", "2", "--class-coeffs", "1,2"], "--class-coeffs applies to CP^n with n >= 2"),
+        (["--k", "2"], "provide --coeffs or --family for the start metric"),
+        (["--n", "2", "--k", "2"], "provide --coeffs, --class-coeffs, or --family round"),
+        (["--n", "2", "--k", "2", "--family", "binomial"],
+         "--family binomial applies to CP^1 (n=1) only"),
+        (["--k", "-1", "--coeffs", "1"], "k must be nonnegative"),
+    ], ids=["cp2-coeff-count", "cp1-class-coeffs", "cp1-no-start", "cp2-no-start",
+            "cp2-binomial", "negative-k"])
+    def test_bad_start(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "iterate", "--op", "Tnu", *argv, "--steps", "1")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_cp2_full_coefficient_start(self, capsys):
+        code, out, err = run_cli(capsys, "iterate", "--op", "Tnu", "--n", "2", "--k", "2",
+                                 "--coeffs", "1,2,2,1,2,1", "--steps", "1")
+        assert code == 0, err
+        header, rows = parse_csv(out)
+        assert header == ["r", "a1", "a2", "a3", "a4", "a5", "a6", "err", "bnd",
+                          "sigma_tilde"]
+        assert rows[0][1:7] == pytest.approx([1, 2, 2, 1, 2, 1], rel=1e-14)
 
     def test_profile_checks_operator_without_steps(self, capsys):
         code, out, _ = run_cli(capsys, "profile", "--op", "Q", "--k", "2",

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -365,6 +366,43 @@ def test_overflowing_image_raises_quadrature_error(op):
         with pytest.raises(QuadratureError, match=rf"^{op}, n=1, k=2: the image of a valid"
                                                   " metric leaves floating-point range$"):
             OPS[op]((1.7e308, 1.0, 1.7e308))
+
+
+@pytest.mark.parametrize("op, coeffs, spread", [
+    ("Tnu", [1e-300] + [1.0] * 15 + [1e300], "inf"),
+    ("TK", [1e-300] + [1.0] * 15 + [1e300], "inf"),
+    ("T", [1e-300, 1e300] + [1e-300] * 37, "inf"),
+    # every normalized coefficient is a normal float, and Q^(-1-2/k) still overflows
+    ("TK", [1e-290] * 16 + [1.0], "1e+290"),
+], ids=["Tnu", "TK", "T", "TK-normal-range"])
+def test_integrands_past_floating_range_raise_quadrature_error(op, coeffs, spread):
+    # Q underflows at some nodes, and f = nu/Q, S/Q^3 or Q^(-1-2/k) leaves
+    # floating-point range: no numpy warning, a QuadratureError naming the spread
+    k = len(coeffs) - 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(QuadratureError, match=rf"^{op}, n=1, k={k}: the integrands leave"
+                                                  r" floating-point range \(coefficient spread"
+                                                  rf" max a / min a = {re.escape(spread)}\)$"):
+            OPS[op](coeffs)
+
+
+@pytest.mark.parametrize("k", [2, 8, 30, 98])
+def test_unguarded_spreads_stay_in_floating_range(k):
+    # Q >= min(a)/max(a) 8^-k at every node; from 1e-90 on the maps run
+    # without an errstate guard, so no integrand may leave floating-point range
+    lo = 1.01e-90 * 8.0 ** k
+    starts = [np.full(k + 1, lo), np.full(k + 1, lo)]
+    starts[0][k // 2] = 1.0
+    starts[1][[0, k]] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for a in starts:
+            for apply in (apply_T, apply_Tnu, apply_TK):
+                try:
+                    apply(a)
+                except QuadratureError:
+                    pass  # the node cap: what matters is that no warning came first
 
 
 def test_T_mass_failure_past_floating_range_names_an_infinite_spread():

@@ -27,6 +27,25 @@ def random_cpn_metric(rng, n, k, spread=0.4):
     return MultiIndexMetric(basis, base * np.exp(rng.uniform(-spread, spread, basis.size)))
 
 
+def closure_orbits(size, maps):
+    """Orbits by closing each index under the maps one image at a time,
+    ordered by their smallest index."""
+    orbits, seen = [], set()
+    for i in range(size):
+        if i in seen:
+            continue
+        orbit, frontier = {i}, [i]
+        while frontier:
+            j = frontier.pop()
+            for mp in maps:
+                if int(mp[j]) not in orbit:
+                    orbit.add(int(mp[j]))
+                    frontier.append(int(mp[j]))
+        seen |= orbit
+        orbits.append(tuple(sorted(orbit)))
+    return tuple(orbits)
+
+
 def record_levels(monkeypatch):
     """The node counts per axis that apply_Tnu_cpn evaluates, in order: the
     levels ``cpn.refine_by_doubling`` passes to ``evaluate``."""
@@ -103,6 +122,21 @@ class TestPermutationAction:
         with pytest.raises(ValueError):
             permutation_action(build_basis(2, 2), (0, 0, 1))
 
+    @pytest.mark.parametrize("n,k", [(1, 1), (1, 4), (2, 3), (3, 4), (3, 5)])
+    def test_matches_homogeneous_definition(self, n, k):
+        # Z_i -> Z_pi(i) moves the exponent of Z_j to position pi(j) of the
+        # homogeneous vector (k - |alpha|, alpha)
+        basis = build_basis(n, k)
+        for pi in itertools.permutations(range(n + 1)):
+            mp = permutation_action(basis, pi)
+            assert not mp.flags.writeable
+            for i, alpha in enumerate(basis.exponents):
+                beta = (k - sum(alpha),) + alpha
+                image = [0] * (n + 1)
+                for j in range(n + 1):
+                    image[pi[j]] = beta[j]
+                assert basis.exponents[mp[i]] == tuple(image[1:])
+
 
 class TestClassifySymmetry:
     def test_fully_symmetric(self):
@@ -158,9 +192,23 @@ class TestClassifySymmetry:
                     maps.append(mp)
             cls = classify_symmetry(metric, tol=tol)
             assert cls.invariant_permutations == tuple(invariant)
+            assert cls.orbits == closure_orbits(metric.basis.size, maps)
             assert cls.orbits == _orbits_from_maps(metric.basis.size, maps)
             assert cls.generally_symmetric == any(
                 all(pi[i] != i for i in range(n + 1)) for pi in invariant)
+
+
+    def test_orbits_from_maps_matches_closure(self):
+        # arbitrary bijections, long cycles included, and no maps at all
+        from balmet.cpn import _orbits_from_maps
+
+        rng = np.random.default_rng(12)
+        for size in (1, 2, 7, 40):
+            for count in (0, 1, 2, 3):
+                maps = [rng.permutation(size) for _ in range(count)]
+                assert _orbits_from_maps(size, maps) == closure_orbits(size, maps)
+        cycle = np.roll(np.arange(30), 1)
+        assert _orbits_from_maps(30, [cycle]) == (tuple(range(30)),)
 
 
 class TestClassValues:
@@ -219,14 +267,16 @@ class TestApply:
         cold = []
         for metric in metrics:
             cpn._factor_tables.cache_clear()
-            cpn._replication.cache_clear()
+            cpn._partition.cache_clear()
             cold.append(apply_Tnu_cpn(metric).coeffs)
         for _ in range(2):
             for metric, want in zip(metrics, cold):
                 assert np.array_equal(apply_Tnu_cpn(metric).coeffs, want)
-        reps, owner = cpn._replication(full_symmetry_orbits(build_basis(3, 4)))
+        orbits, reps, owner = cpn._partition(build_basis(3, 4), (True,) * 24)
+        assert orbits == full_symmetry_orbits(build_basis(3, 4))
         assert reps == (0, 1, 4, 5, 14)
         assert not owner.flags.writeable
+        assert not cpn._symmetries(build_basis(3, 4))[1].flags.writeable
         for basis, reps, m in [(build_basis(2, 3), tuple(range(10)), 64),
                                (build_basis(3, 4), reps, 48),
                                (build_basis(3, 2), tuple(range(10)), 24)]:

@@ -98,6 +98,10 @@ class TestFindBalanced:
         assert exc.value.last is not None
         assert exc.value.step_size is not None
 
+    def test_convergence_error_names_the_map(self):
+        with pytest.raises(ConvergenceError, match=r"^TK, n=1, k=2: no balanced limit within 2 "):
+            find_balanced("TK", (1, 17, 36), max_iter=2)
+
     def test_trajectory_limit_continues_the_recorded_orbit(self):
         # the limit is the same F^j(g0) that iterating on from the last
         # recorded step reaches
@@ -120,7 +124,7 @@ class TestErrorSeriesAndSigma:
 
     def test_estimate_needs_usable_steps(self):
         g = balanced_coeffs(BalancedFamily(2))  # starts at the fixed point
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match=r"^TK, n=1, k=2: trajectory reached"):
             sigma_probe("TK", g)
 
     def test_cpn_coordinate_estimator(self):
