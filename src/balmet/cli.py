@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -141,6 +142,8 @@ def _check_start_args(args) -> None:
         raise MetricError(f"projective dimension n={args.n} unsupported; expected 1..3")
     if args.k < 0:
         raise MetricError("k must be nonnegative")
+    if args.k < 1 and args.n >= 2:
+        raise MetricError(f"a metric over CP^{args.n} needs k >= 1, got k={args.k}")
     if args.family == "binomial" and args.n != 1:
         raise MetricError("--family binomial applies to CP^1 (n=1) only")
     # the family flags are read only for a start of their family
@@ -230,6 +233,9 @@ def cmd_sigma(args) -> int:
             ("--symmetric", args.symmetric, args.n >= 2, "CP^n with n >= 2")):
         if value is not None and (explicit or not reads):
             raise MetricError(f"{flag} applies only to a generated start on {space}")
+        if value is True and args.k == 1:
+            raise MetricError(f"{flag} true at k=1 generates only the round metric, which"
+                              " every map fixes: there is no contraction ratio to estimate")
     metric = _build_start(args)[0] if explicit else _random_start(args)
     kind = OperatorKind.parse(args.op)
     predicted, regime = sigma_law(kind, metric)
@@ -350,7 +356,9 @@ def cmd_profile(args) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing leaves it as is)."""
     parser = _Parser(prog="balmet",
                      description="Balanced-metric iterations on projective space")
     parser.add_argument("--version", action="version", version=f"balmet {__version__}")

@@ -46,7 +46,6 @@ from .quadrature import (
     DEFAULT_START_NODES,
     gauss_legendre_unit,
     refine_by_doubling,
-    scaled_reciprocals,
 )
 
 __all__ = [
@@ -186,7 +185,7 @@ def _apply_family(g, kind: OperatorKind, tol: float) -> DiagonalMetric:
                 f" (coefficient spread max a / min a = {amax / min(coeffs):.3g})",
                 best=dens)
         num = 1.0 if kind is OperatorKind.TNU else k if kind is OperatorKind.T else mass
-        out = scaled_reciprocals(amax * num, (k + 1) * dens)
+        return DiagonalMetric.image(amax * num, (k + 1) * dens)
     except FloatingPointError:
         raise QuadratureError(
             f"{kind.value}, n=1, k={k}: the integrands leave floating-point range"
@@ -194,7 +193,6 @@ def _apply_family(g, kind: OperatorKind, tol: float) -> DiagonalMetric:
     except QuadratureError as exc:
         exc.args = (f"{kind.value}, n=1, k={k}: {exc}",)
         raise
-    return DiagonalMetric.from_checked(out)
 
 
 def apply_T(g, tol: float = DEFAULT_APPLY_TOL) -> DiagonalMetric:

@@ -27,8 +27,9 @@ per-axis factors (Jacobian and weights included) against 1/D.  Both run as
 matrix products over slabs of the first axis, so no level holds more than
 48^3 grid points at a time.  None of the factors depends on the metric: they
 are built once per basis, set of orbit representatives and node count, and
-cached read-only, so a level only scales the first axis of D by a before its
-two products.
+cached read-only.  A level scales the first axis of D's factors by a, then
+per slab forms the outer products over the leading axes (all but the last)
+of D's factors and of the numerators', and runs its two products.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .quadrature import (
     DEFAULT_START_NODES,
     gauss_legendre_unit,
     refine_by_doubling,
-    scaled_reciprocals,
 )
 
 __all__ = [
@@ -329,11 +329,11 @@ def apply_Tnu_cpn(
     try:
         integrals, _ = refine_by_doubling(evaluate, tol, DEFAULT_START_NODES[n],
                                           DEFAULT_NODE_CAP[n])
-        rep_out = scaled_reciprocals(amax, basis.size * factorial(n) * integrals)
+        return MultiIndexMetric.image(amax, basis.size * factorial(n) * integrals[owner],
+                                      basis=basis)
     except QuadratureError as exc:
         exc.args = (f"Tnu, n={n}, k={k}: {exc}",)
         raise
-    return MultiIndexMetric.from_checked(basis, rep_out[owner])
 
 
 def sigma_predict_cpn(n: int, k: int, generally_symmetric: bool) -> float:

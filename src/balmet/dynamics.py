@@ -323,8 +323,9 @@ def sigma_probe(op, g0, err_floor: float = DEFAULT_ERR_FLOOR,
         raise ValueError(f"max_steps must be >= 2 (a ratio needs three errors), "
                          f"got {max_steps}")
     g0, kind = as_metric(g0), OperatorKind.parse(op)
-    if g0.k == 0 and kind is OperatorKind.TNU:
-        raise MetricError("T_nu at k=0 is the identity map: "
+    # T_nu at k=0 is the identity, and every degree-1 metric is binomial
+    if (kind, g0.k) in ((OperatorKind.TNU, 0), (OperatorKind.T, 1)):
+        raise MetricError(f"{kind.value} at k={g0.k} fixes every metric: "
                           "there is no contraction ratio to estimate")
     orbit = _orbit_to_limit(kind, g0, 0, conv_tol, max_iter, tol)
     errs = [_shape_distance(g0, orbit[-1])]

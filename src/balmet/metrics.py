@@ -4,9 +4,10 @@ A metric is stored as a positive coefficient vector; the underlying Hermitian
 matrix is diagonal with entries 1/a_i.  ``DiagonalMetric`` holds
 (a_0, ..., a_k) for degree k over the projective line, ``MultiIndexMetric``
 one coefficient per monomial of a basis over CP^n.  Both expose ``coeffs``,
-the degree ``k`` and the dimension ``n``.  Geometry on the space of such
-metrics is flat in log coordinates: the geodesic distance between A and B is
-the Euclidean norm of log(b_i/a_i).
+the degree ``k`` and the dimension ``n``, and both build an operator map's
+image through one checked constructor, ``image``.  Geometry on the space of
+such metrics is flat in log coordinates: the geodesic distance between A and
+B is the Euclidean norm of log(b_i/a_i).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import MetricError
+from .errors import MetricError, QuadratureError
 
 if TYPE_CHECKING:
     from .cpn import MonomialBasis
@@ -51,23 +52,47 @@ def _validated_coeffs(values) -> np.ndarray:
     return a
 
 
+class _Metric:
+    """What both metric types share: equality, and the wrap of a map's image."""
+
+    def __eq__(self, other) -> bool:
+        """Same type, same basis (or length) and equal coefficients."""
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        mine, theirs = dict(vars(self)), dict(vars(other))
+        return np.array_equal(mine.pop("coeffs"), theirs.pop("coeffs")) and mine == theirs
+
+    @classmethod
+    def image(cls, numerator: float, integrals: np.ndarray, **fields):
+        """The metric with coefficients numerator / integrals, the image of an
+        operator map, and ``fields`` (a MultiIndexMetric's basis).
+
+        The quotients are checked once, to be finite and positive: correctly
+        rounded division is monotone, so the quotients by the extreme
+        integrals (in Python floats) bound all others, and an image out of
+        floating-point range raises QuadratureError before numpy divides,
+        without an overflow warning.  They are then made read-only and
+        wrapped without validating them again.
+        """
+        lo, hi = float(integrals.min()), float(integrals.max())
+        if not (lo > 0.0 and numerator / hi > 0.0 and numerator / lo < np.inf):
+            raise QuadratureError("the image of a valid metric leaves floating-point range",
+                                  best=integrals)
+        coeffs = numerator / integrals
+        coeffs.flags.writeable = False
+        g = object.__new__(cls)
+        vars(g).update(fields, coeffs=coeffs)  # frozen: past __setattr__
+        return g
+
+
 @dataclass(frozen=True, eq=False)
-class DiagonalMetric:
+class DiagonalMetric(_Metric):
     """Positive coefficients (a_0, ..., a_k) of a diagonal metric of degree k."""
 
     coeffs: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _validated_coeffs(self.coeffs))
-
-    @classmethod
-    def from_checked(cls, coeffs: np.ndarray) -> DiagonalMetric:
-        """Wrap coefficients a map has just checked (finite, positive, its
-        own array) without validating them again; made read-only in place."""
-        coeffs.flags.writeable = False
-        g = object.__new__(cls)
-        object.__setattr__(g, "coeffs", coeffs)
-        return g
 
     @property
     def k(self) -> int:
@@ -83,20 +108,13 @@ class DiagonalMetric:
     def __getitem__(self, q: int) -> float:
         return float(self.coeffs[q])
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DiagonalMetric):
-            return NotImplemented
-        return self.coeffs.shape == other.coeffs.shape and bool(
-            np.all(self.coeffs == other.coeffs)
-        )
-
     def __repr__(self) -> str:
         vals = ", ".join(f"{v:g}" for v in self.coeffs)
         return f"DiagonalMetric(({vals}))"
 
 
 @dataclass(frozen=True, eq=False)
-class MultiIndexMetric:
+class MultiIndexMetric(_Metric):
     """Positive coefficients a_i indexed by a monomial basis (matrix diag 1/a_i)."""
 
     basis: MonomialBasis
@@ -110,16 +128,6 @@ class MultiIndexMetric:
             )
         object.__setattr__(self, "coeffs", a)
 
-    @classmethod
-    def from_checked(cls, basis: MonomialBasis, coeffs: np.ndarray) -> MultiIndexMetric:
-        """Wrap coefficients a map has just checked (finite, positive, its
-        own array) without validating them again; made read-only in place."""
-        coeffs.flags.writeable = False
-        g = object.__new__(cls)
-        object.__setattr__(g, "basis", basis)
-        object.__setattr__(g, "coeffs", coeffs)
-        return g
-
     @property
     def k(self) -> int:
         return self.basis.k
@@ -128,16 +136,11 @@ class MultiIndexMetric:
     def n(self) -> int:
         return self.basis.n
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MultiIndexMetric):
-            return NotImplemented
-        return self.basis == other.basis and bool(np.all(self.coeffs == other.coeffs))
-
 
 def as_metric(g) -> DiagonalMetric | MultiIndexMetric:
     """Pass either metric type through; coerce a coefficient sequence to a
     validated DiagonalMetric."""
-    if isinstance(g, (DiagonalMetric, MultiIndexMetric)):
+    if isinstance(g, _Metric):
         return g
     return DiagonalMetric(np.asarray(g, float))
 

@@ -31,7 +31,6 @@ __all__ = [
     "gauss_legendre_unit",
     "integrate_semi_infinite",
     "refine_by_doubling",
-    "scaled_reciprocals",
     "DEFAULT_START_NODES",
     "DEFAULT_NODE_CAP",
     "DEFAULT_APPLY_TOL",
@@ -126,19 +125,6 @@ def refine_by_doubling(
         if (err <= rel_tol).all():
             return cur, err
         prev = cur
-
-
-def scaled_reciprocals(scale: float, integrals: np.ndarray) -> np.ndarray:
-    """scale / integrals, the image of an operator map, checked once to be
-    finite and positive.  Correctly rounded division is monotone, so the
-    quotients by the extreme integrals (in Python floats) bound all others:
-    an image out of floating-point range raises QuadratureError before numpy
-    divides, without an overflow warning."""
-    lo, hi = float(integrals.min()), float(integrals.max())
-    if not (lo > 0.0 and scale / hi > 0.0 and scale / lo < np.inf):
-        raise QuadratureError("the image of a valid metric leaves floating-point range",
-                              best=integrals)
-    return scale / integrals
 
 
 def integrate_semi_infinite(f: Callable, rel_tol: float = 1e-11) -> tuple[float, float]:

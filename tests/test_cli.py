@@ -306,8 +306,12 @@ class TestValidationErrors:
         (["--n", "2", "--k", "2", "--family", "binomial"],
          "--family binomial applies to CP^1 (n=1) only"),
         (["--k", "-1", "--coeffs", "1"], "k must be nonnegative"),
+        (["--n", "2", "--k", "0", "--family", "round"],
+         "a metric over CP^2 needs k >= 1, got k=0"),
+        (["--n", "3", "--k", "0", "--coeffs", "1"],
+         "a metric over CP^3 needs k >= 1, got k=0"),
     ], ids=["cp2-coeff-count", "cp1-class-coeffs", "cp1-no-start", "cp2-no-start",
-            "cp2-binomial", "negative-k"])
+            "cp2-binomial", "negative-k", "cp2-degree-zero", "cp3-degree-zero"])
     def test_bad_start(self, capsys, argv, message):
         code, out, err = run_cli(capsys, "iterate", "--op", "Tnu", *argv, "--steps", "1")
         assert code == 1
@@ -336,6 +340,22 @@ class TestValidationErrors:
         assert code == 1
         assert out == ""
         assert "k=0" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--op", "T", "--k", "1", "--coeffs", "1,3"],
+         "T at k=1 fixes every metric"),
+        (["--op", "Tnu", "--k", "1", "--palindromic", "true"],
+         "--palindromic true at k=1 generates only the round metric"),
+        (["--op", "Tnu", "--n", "2", "--k", "1", "--symmetric", "true"],
+         "--symmetric true at k=1 generates only the round metric"),
+    ], ids=["T-degree-one", "palindromic-degree-one", "symmetric-degree-one"])
+    def test_sigma_without_a_contracting_mode(self, capsys, argv, message):
+        # every start these give is its own limit: a validation error, not
+        # a numerical failure
+        code, out, err = run_cli(capsys, "sigma", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {message}")
 
 
 class TestSigmaCommand:

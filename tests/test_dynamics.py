@@ -122,6 +122,11 @@ class TestErrorSeriesAndSigma:
         assert sig == pytest.approx((2 - 1) / (2 + 3), abs=0.01)
         assert used >= 2
 
+    def test_T_at_degree_one_has_no_ratio(self):
+        # every degree-1 metric is binomial, so T fixes it
+        with pytest.raises(MetricError, match=r"^T at k=1 fixes every metric"):
+            sigma_probe("T", (1.0, 3.0))
+
     def test_estimate_needs_usable_steps(self):
         g = balanced_coeffs(BalancedFamily(2))  # starts at the fixed point
         with pytest.raises(ConvergenceError, match=r"^TK, n=1, k=2: trajectory reached"):

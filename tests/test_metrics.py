@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from balmet import (
     DiagonalMetric,
     MetricError,
     MultiIndexMetric,
+    QuadratureError,
     apply_TK,
     balanced_coeffs,
     build_basis,
@@ -42,6 +44,27 @@ class TestDiagonalMetric:
         a = DiagonalMetric(np.array([1.0, 2.0]))
         assert a == DiagonalMetric(np.array([1.0, 2.0]))
         assert a != DiagonalMetric(np.array([1.0, 3.0]))
+        assert a != DiagonalMetric(np.array([1.0, 2.0, 3.0]))
+        assert a != MultiIndexMetric(build_basis(1, 1), np.array([1.0, 2.0]))
+        line = MultiIndexMetric(build_basis(1, 2), np.array([1.0, 2.0, 1.0]))
+        assert line == MultiIndexMetric(build_basis(1, 2), np.array([1.0, 2.0, 1.0]))
+        assert line != MultiIndexMetric(build_basis(2, 1), np.array([1.0, 2.0, 1.0]))
+
+    def test_image_is_checked_and_read_only(self):
+        g = DiagonalMetric.image(6.0, np.array([1.0, 2.0, 3.0]))
+        assert g == DiagonalMetric(np.array([6.0, 3.0, 2.0]))
+        assert not g.coeffs.flags.writeable
+        basis = build_basis(2, 1)
+        h = MultiIndexMetric.image(2.0, np.array([1.0, 2.0, 4.0]), basis=basis)
+        assert h == MultiIndexMetric(basis, np.array([2.0, 1.0, 0.5]))
+        # overflow, underflow and a non-positive integral, without a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for num, integrals in ((1e300, [1e-10, 1.0]), (1e-300, [1e100, 1.0]),
+                                      (1.0, [0.0, 1.0])):
+                with pytest.raises(QuadratureError, match="^the image of a valid metric"
+                                                          " leaves floating-point range$"):
+                    DiagonalMetric.image(num, np.array(integrals))
 
 
 class TestDistance:

@@ -1,12 +1,13 @@
 """The sigma laws as exact eigenvalues of the linearized maps.
 
 At the round metric, P = (1+x)^k on CP^1 and D = 1 on CP^n, every entry of
-J = d log a~ / d log a is a ratio of Beta or Dirichlet integrals, so J is a
-rational matrix built here with Fractions, without quadrature.  Its leading
-eigenvalue 1 is the free scale (and, for T_K, the binomial family's second
-parameter); the next one is the contraction ratio the package predicts.
-Restricted to the vectors a coordinate permutation fixes (taken orbit by
-orbit from ``permutation_orbits``), the next one is the symmetric law.
+J = d log a~ / d log a is a rational combination of Beta or Dirichlet
+integrals, so J is a rational matrix built here with Fractions, without
+quadrature.  Its leading eigenvalue 1 is the free scale (and, for T and T_K,
+the binomial family's second parameter); the next one is the contraction
+ratio the package predicts.  Restricted to the vectors a coordinate
+permutation fixes (taken orbit by orbit from ``permutation_orbits``), the
+next one is the symmetric law.
 """
 
 from fractions import Fraction
@@ -17,6 +18,7 @@ import pytest
 
 from balmet import (
     MultiIndexMetric,
+    apply_T,
     apply_Tnu,
     apply_Tnu_cpn,
     apply_TK,
@@ -53,6 +55,17 @@ def jacobian_tk(k):
     return [[Fraction(k + 2, k) * comb(k, p) * beta(q + p + 1, 2 * k + 1 - q - p)
              / beta(q + 1, k + 1 - q) - Fraction(2, k) * comb(k, p) * beta(p + 1, k + 1 - p)
              for p in range(k + 1)] for q in range(k + 1)]
+
+
+def jacobian_t(k):
+    """J_qp = -C(k,p) [sum_{j != p} C(k,j) (p-j)^2 B(p+j+q, 3k-p-j-q)
+    - 3k B(q+p+1, 2k+1-q-p)] / (k B(q+1, k+1-q)) at a_p = C(k, p): there
+    rho = k/(1+x)^2, so S = rho P^2 = k (1+x)^(2k-2), and each a~_q is
+    k / ((k+1) Int S x^q / P^3 dx)."""
+    return [[-comb(k, p) * (sum(comb(k, j) * (p - j) ** 2 * beta(p + j + q, 3 * k - p - j - q)
+                                for j in range(k + 1) if j != p)
+                            - 3 * k * beta(q + p + 1, 2 * k + 1 - q - p))
+             / (k * beta(q + 1, k + 1 - q)) for p in range(k + 1)] for q in range(k + 1)]
 
 
 def jacobian_tnu_cpn(n, k):
@@ -97,6 +110,15 @@ def test_tk_law_is_an_eigenvalue(k):
     assert lam[2] == pytest.approx(sigma_closed_form("TK", k), abs=1e-12)
 
 
+@pytest.mark.parametrize("k", range(2, 21))
+def test_t_law_is_an_eigenvalue(k):
+    # at k=1 every metric is binomial: the spectrum is 1, 1, with no
+    # contracting mode and no law to check
+    lam = spectrum(jacobian_t(k))
+    assert lam[:2] == pytest.approx([1.0, 1.0], abs=1e-12)  # scale and alpha
+    assert lam[2] == pytest.approx(sigma_closed_form("T", k), abs=1e-12)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_tnu_cpn_laws_are_eigenvalues(n, k):
@@ -121,6 +143,8 @@ def test_tnu_cpn_laws_are_eigenvalues(n, k):
     ("Tnu CP^2 k=2", jacobian_tnu_cpn(2, 2),
      lambda a: apply_Tnu_cpn(MultiIndexMetric(build_basis(2, 2), a), tol=1e-13).coeffs,
      list(multinomial_coeffs(build_basis(2, 2)))),
+    ("T k=3", jacobian_t(3), lambda a: apply_T(a, tol=1e-13).coeffs,
+     [float(comb(3, p)) for p in range(4)]),
 ])
 def test_exact_jacobian_matches_central_differences(name, J, apply, start):
     # the matrices above are the linearizations of the maps as implemented
