@@ -309,14 +309,13 @@ def cmd_reproduce(args) -> int:
         lines.append("RESULT: PASS")
     sys.stdout.write("\n".join(lines) + "\n")
     if args.out is not None:
-        header = ["r"] + list(report.column_names)
-        rows = [list(row) for row in report.computed_rows]
+        header = ["r"] + [col.name for col in table.columns]
         if args.format == "csv":
-            _write_text(_csv_text(header, rows), args.out)
+            _write_text(_csv_text(header, report.computed_rows), args.out)
         else:
             payload = {
                 "meta": {"table": report.table_id, "columns": header},
-                "rows": [dict(zip(header, row)) for row in rows],
+                "rows": [dict(zip(header, row)) for row in report.computed_rows],
             }
             _write_text(json.dumps(payload, indent=2) + "\n", args.out)
     return EXIT_OK if report.ok else EXIT_MISMATCH

@@ -18,7 +18,9 @@ D(u) = sum_p a_p u^beta_p s^(k-|beta_p|).  D is a positive combination of all
 degree-k monomials in (s, u), hence bounded away from zero on the closed
 simplex, so the integrand is analytic there and a Duffy-type tensor map onto
 the unit box integrates it to near machine accuracy at small node counts.
-The round (multinomial) metric makes D identically 1 and is fixed exactly.
+The round (multinomial) metric makes D identically 1, so one application
+moves it only by rounding: at most 3.9e-15 relative on CP^3 (k <= 5),
+8.9e-16 on CP^2 and 2.2e-16 on CP^1.
 
 After the Duffy map every term of D and every numerator is a product of
 one-axis factors t^e (1-t)^f, so each rule level is two tensor contractions:

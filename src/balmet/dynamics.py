@@ -37,6 +37,7 @@ __all__ = [
     "coordinate_sigma_series",
     "sigma_closed_form",
     "sigma_law",
+    "sigma_probe",
     "bound_series",
     "contraction_witness",
     "DEFAULT_CONV_TOL",
@@ -89,10 +90,14 @@ def apply_step(op, g, tol: float = DEFAULT_APPLY_TOL):
     T_nu map only.
     """
     if isinstance(g, MultiIndexMetric):
-        if OperatorKind.parse(op) is not OperatorKind.TNU:
-            raise MetricError("only the T_nu map is defined on CP^n metrics here")
+        _check_cpn_op(op)
         return cpn.apply_Tnu_cpn(g, tol=tol)
     return cp1.apply_operator(op, g, tol=tol)
+
+
+def _check_cpn_op(op) -> None:
+    if OperatorKind.parse(op) is not OperatorKind.TNU:
+        raise MetricError("only the T_nu map is defined on CP^n metrics here")
 
 
 def _orbit(op, g0, tol: float):
@@ -358,18 +363,19 @@ def sigma_law(op, g0) -> tuple[float, str]:
     """The predicted asymptotic distance ratio of iterating op from g0, and
     the regime of g0 that selects the law.
 
-    Over CP^1 this is ``sigma_closed_form`` with regime "palindromic" or
-    "non-palindromic"; over CP^n, n >= 2, ``sigma_predict_cpn`` with regime
-    "generally symmetric" or "generic".
+    For a DiagonalMetric this is ``sigma_closed_form`` with regime "palindromic"
+    or "non-palindromic"; for a MultiIndexMetric (T_nu only, as in ``apply_step``)
+    ``sigma_predict_cpn`` with regime "generally symmetric" or "generic".
     """
     g0 = as_metric(g0)
-    if g0.n == 1:
-        pal = is_palindromic(g0)
-        return (sigma_closed_form(op, g0.k, palindromic=pal),
-                "palindromic" if pal else "non-palindromic")
-    sym = classify_symmetry(g0).generally_symmetric
-    return (sigma_predict_cpn(g0.n, g0.k, sym),
-            "generally symmetric" if sym else "generic")
+    if isinstance(g0, MultiIndexMetric):
+        _check_cpn_op(op)
+        sym = classify_symmetry(g0).generally_symmetric
+        return (sigma_predict_cpn(g0.n, g0.k, sym),
+                "generally symmetric" if sym else "generic")
+    pal = is_palindromic(g0)
+    return (sigma_closed_form(op, g0.k, palindromic=pal),
+            "palindromic" if pal else "non-palindromic")
 
 
 def bound_series(traj: Trajectory) -> list[tuple[float, float, bool]]:

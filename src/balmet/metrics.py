@@ -145,12 +145,13 @@ def as_metric(g) -> DiagonalMetric | MultiIndexMetric:
     return DiagonalMetric(np.asarray(g, float))
 
 
-def as_cp1_metric(g) -> DiagonalMetric | MultiIndexMetric:
-    """``as_metric`` restricted to metrics over the projective line (n = 1)."""
-    g = as_metric(g)
-    if g.n != 1:
-        raise MetricError(f"expected a metric over CP^1, got one over CP^{g.n}")
-    return g
+def as_cp1_metric(g) -> DiagonalMetric:
+    """``as_metric`` restricted to what the CP^1 maps take: a DiagonalMetric or
+    a coefficient sequence, not a MultiIndexMetric (even one over CP^1)."""
+    if isinstance(g, MultiIndexMetric):
+        raise MetricError("expected a DiagonalMetric, got a MultiIndexMetric"
+                          f" on CP^{g.n}")
+    return as_metric(g)
 
 
 def _pair(a, b):
@@ -177,7 +178,7 @@ def scale(g, lam: float) -> DiagonalMetric | MultiIndexMetric:
     return replace(g, coeffs=g.coeffs * lam)
 
 
-def reverse(g) -> DiagonalMetric | MultiIndexMetric:
+def reverse(g) -> DiagonalMetric:
     """Coefficient reversal (a_0,...,a_k) -> (a_k,...,a_0), i.e. z -> 1/z."""
     g = as_cp1_metric(g)
     return replace(g, coeffs=g.coeffs[::-1])

@@ -4,11 +4,11 @@ Four reference trajectories are embedded verbatim as golden data, at the
 precision to which they are conventionally printed: the degree-2 T_K run,
 the degree-3 T_nu run, the degree-6 T run whose first application moves the
 metric *away* from its limit, and the fully symmetric degree-4 T_nu run on
-CP^3.  Each is a ``balmet iterate`` run, kept in ``_RUNS``, cut to its
-golden rows and columns; ``trajectory_table`` lays out the rows of every
-such run.  ``reproduce`` regenerates a table from scratch and diffs it cell by
-cell; tolerances combine the documented accuracy targets with half an ulp of
-the printed precision, since the golden values are rounded.
+CP^3.  Each is a ``balmet iterate`` run, declared in one ``GoldenTable`` with
+the rows and columns it is cut to; ``trajectory_table`` lays out the rows of
+every such run.  ``reproduce`` regenerates a table from scratch and diffs it
+cell by cell; tolerances combine the documented accuracy targets with half an
+ulp of the printed precision, since the golden values are rounded.
 """
 
 from __future__ import annotations
@@ -41,10 +41,11 @@ class ColumnSpec:
 @dataclass(frozen=True)
 class GoldenTable:
     table_id: str
-    description: str
+    # the ``balmet iterate`` run: operator, n, k, start (coefficients on CP^1,
+    # class values on CP^n), steps, normalization
+    run: tuple
     columns: tuple[ColumnSpec, ...]          # without the leading r column
     rows: tuple[tuple[float, ...], ...]      # each row starts with r
-    runtime_budget_s: float
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,6 @@ class CellDeviation:
 @dataclass(frozen=True)
 class ReproduceReport:
     table_id: str
-    column_names: tuple[str, ...]
     computed_rows: tuple[tuple[float, ...], ...]
     max_deviation: dict[str, float]
     failures: tuple[CellDeviation, ...]
@@ -77,7 +77,7 @@ def _cols(names, decimals, rel, abs_):
 
 _TK_K2 = GoldenTable(
     table_id="tk-k2",
-    description="T_K at k=2 from (1,17,36), scaled so the limit starts at 1",
+    run=("TK", 1, 2, (1, 17, 36), 5, "balanced"),
     columns=_cols(("a0", "a1", "a2"), 4, 0.0, 1e-4)
     + _cols(("dist", "bnd"), 4, 0.0, 5e-4),
     rows=(
@@ -88,12 +88,11 @@ _TK_K2 = GoldenTable(
         (4, 0.9998, 12.0052, 35.9922, 0.0005, 0.0028),
         (5, 1.0000, 12.0010, 35.9984, 0.0001, 0.0006),
     ),
-    runtime_budget_s=5.0,
 )
 
 _TNU_K3 = GoldenTable(
     table_id="tnu-k3",
-    description="T_nu at k=3 from (1,25,0.07,13), limit (1,3,3,1)",
+    run=("Tnu", 1, 3, (1, 25, 0.07, 13), 20, "balanced"),
     columns=_cols(("a0", "a1", "a2", "a3"), 5, 0.0, 1e-4)
     + _cols(("dist", "bnd"), 5, 0.0, 5e-4),
     rows=(
@@ -107,13 +106,11 @@ _TNU_K3 = GoldenTable(
         (15, 0.99961, 2.99962, 3.00039, 1.00039, 0.00057, 9.35784),
         (20, 0.99997, 2.99997, 3.00003, 1.00003, 0.00004, 6.80474),
     ),
-    runtime_budget_s=10.0,
 )
 
 _T_K6 = GoldenTable(
     table_id="t-k6",
-    description="T at k=6 from the palindromic (1,6000,150000,2e10,...); "
-    "the first application increases the distance",
+    run=("T", 1, 6, (1, 6000, 150000, 2e10, 150000, 6000, 1), 100, "balanced"),
     columns=_cols(("a0", "a1", "a2", "a3"), 5, 1e-3, 0.0)
     + _cols(("err", "bnd"), 5, 0.0, 5e-3),
     rows=(
@@ -134,13 +131,11 @@ _T_K6 = GoldenTable(
         (90, 0.99990, 6.00000, 15.00088, 20.00156, 0.00018, 89.78209),
         (100, 0.99998, 6.00000, 15.00014, 20.00025, 0.00003, 87.95883),
     ),
-    runtime_budget_s=60.0,
 )
 
 _CPN_K4 = GoldenTable(
     table_id="cpn-k4",
-    description="T_nu on CP^3 at k=4 from class values (1,20,30,40,50), "
-    "each iterate scaled to first coefficient 1",
+    run=("Tnu", 3, 4, (1, 20, 30, 40, 50), 8, "first"),
     columns=_cols(("a2", "a5", "a6", "a15"), 7, 0.0, 1e-3)
     + _cols(("sigma_tilde",), 4, 0.0, 5e-4),
     rows=(
@@ -154,25 +149,10 @@ _CPN_K4 = GoldenTable(
         (7, 4.0000040, 6.0000079, 12.0000198, 24.0000476, 0.1666),
         (8, 4.0000007, 6.0000013, 12.0000033, 24.0000079, 0.1667),
     ),
-    runtime_budget_s=600.0,
 )
 
 _TABLES = {t.table_id: t for t in (_TK_K2, _TNU_K3, _T_K6, _CPN_K4)}
 TABLE_IDS = tuple(_TABLES)
-
-
-# The ``balmet iterate`` run behind each table: operator, n, k, start
-# (coefficients on CP^1, class values on CP^n), steps, normalization, and the
-# iterate column that each golden column reads.
-_RUNS = {
-    "tk-k2": ("TK", 1, 2, (1, 17, 36), 5, "balanced", ("a0", "a1", "a2", "err", "bnd")),
-    "tnu-k3": ("Tnu", 1, 3, (1, 25, 0.07, 13), 20, "balanced",
-               ("a0", "a1", "a2", "a3", "err", "bnd")),
-    "t-k6": ("T", 1, 6, (1, 6000, 150000, 2e10, 150000, 6000, 1), 100, "balanced",
-             ("a0", "a1", "a2", "a3", "err", "bnd")),
-    "cpn-k4": ("Tnu", 3, 4, (1, 20, 30, 40, 50), 8, "first",
-               ("a2", "a5", "a6", "a15", "sigma_tilde")),
-}
 
 
 def golden_table(table_id: str) -> GoldenTable:
@@ -200,9 +180,9 @@ def trajectory_table(traj, idx=None) -> tuple[list[str], list[list]]:
 
 def generate_table(table_id: str) -> list[tuple[float, ...]]:
     """Recompute a golden table's rows from scratch: its ``iterate`` run,
-    cut to the golden rows and columns."""
+    cut to the golden rows and columns (``dist`` is the run's ``err``)."""
     table = golden_table(table_id)
-    op, n, k, start, steps, mode, columns = _RUNS[table_id]
+    op, n, k, start, steps, mode = table.run
     idx = None
     if n > 1:  # shown by class, as ``iterate --class-coeffs`` does
         basis = build_basis(n, k)
@@ -210,7 +190,8 @@ def generate_table(table_id: str) -> list[tuple[float, ...]]:
         idx = [o[0] for o in full_symmetry_orbits(basis)]
     header, rows = trajectory_table(
         build_trajectory(op, start, steps=steps, normalization=mode), idx)
-    cols = [header.index(name) for name in ("r",) + columns]
+    names = ["err" if c.name == "dist" else c.name for c in table.columns]
+    cols = [header.index(name) for name in ["r"] + names]
     return [tuple(rows[int(grow[0])][j] for j in cols) for grow in table.rows]
 
 
@@ -230,11 +211,6 @@ def reproduce(table_id: str) -> ReproduceReport:
             if dev > allowed:
                 failures.append(CellDeviation(int(grow[0]), col.name,
                                               crow[j], grow[j], dev, allowed))
-    return ReproduceReport(
-        table_id=table_id,
-        column_names=tuple(c.name for c in table.columns),
-        computed_rows=tuple(tuple(r) for r in computed),
-        max_deviation=max_dev,
-        failures=tuple(failures),
-        elapsed_s=elapsed,
-    )
+    return ReproduceReport(table_id=table_id, computed_rows=tuple(computed),
+                           max_deviation=max_dev, failures=tuple(failures),
+                           elapsed_s=elapsed)

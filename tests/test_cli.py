@@ -1,7 +1,9 @@
 import csv
+import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -11,8 +13,8 @@ import numpy as np
 import pytest
 
 import balmet
-from balmet import DiagonalMetric, build_trajectory
-from balmet.cli import main
+from balmet import DiagonalMetric, OperatorKind, build_trajectory
+from balmet.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -428,15 +430,33 @@ class TestReproduceCommand:
         assert header == ["r", "a0", "a1", "a2", "dist", "bnd"]
         assert len(rows) == 6
 
+    @pytest.mark.parametrize("table_id", balmet.TABLE_IDS)
+    def test_readme_row_names_the_declared_run(self, table_id):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Benchmark tables", 1)[1].split("\n#", 1)[0]
+        runs = dict(re.findall(r"^\| `([\w-]+)` +\| `([^`]+)`", section, flags=re.M))
+        assert sorted(runs) == sorted(balmet.TABLE_IDS)
+        args = build_parser().parse_args(["iterate"] + runs[table_id].split())
+        op, n, k, start, steps, mode = balmet.golden_table(table_id).run
+        assert (OperatorKind.parse(args.op), args.n, args.k, args.steps, args.normalize) == \
+            (OperatorKind.parse(op), n, k, steps, mode)
+        given = args.class_coeffs if n > 1 else args.coeffs
+        assert [float(v) for v in given.split(",")] == [float(v) for v in start]
+
     def test_json_output_matches_csv(self, capsys, tmp_path):
-        for fmt in ("csv", "json"):
-            code, _, _ = run_cli(capsys, "reproduce", "tk-k2", "--format", fmt,
-                                 "--out", str(tmp_path / f"t.{fmt}"))
-            assert code == 0
-        header, rows = parse_csv((tmp_path / "t.csv").read_text())
-        payload = json.loads((tmp_path / "t.json").read_text())
-        assert payload["meta"] == {"table": "tk-k2", "columns": header}
-        assert [[row[name] for name in header] for row in payload["rows"]] == rows
+        # every table, whose header is its golden columns
+        for table_id in balmet.TABLE_IDS:
+            for fmt in ("csv", "json"):
+                code, _, _ = run_cli(capsys, "reproduce", table_id, "--format", fmt,
+                                     "--out", str(tmp_path / f"{table_id}.{fmt}"))
+                assert code == 0
+            header, rows = parse_csv((tmp_path / f"{table_id}.csv").read_text())
+            table = balmet.golden_table(table_id)
+            assert header == ["r"] + [col.name for col in table.columns]
+            assert [int(row[0]) for row in rows] == [int(g[0]) for g in table.rows]
+            payload = json.loads((tmp_path / f"{table_id}.json").read_text())
+            assert payload["meta"] == {"table": table_id, "columns": header}
+            assert [[row[name] for name in header] for row in payload["rows"]] == rows
 
     @pytest.mark.parametrize("flag", ["--tol", "--conv-tol", "--max-iter"])
     def test_rejects_flags_it_does_not_read(self, capsys, flag):
@@ -503,9 +523,7 @@ class TestReproduceCommand:
         def fake(table_id):
             t = real(table_id)
             if table_id == "tk-k2":
-                return tables.GoldenTable(t.table_id, t.description, t.columns,
-                                          tuple(tuple(r) for r in bad),
-                                          t.runtime_budget_s)
+                return dataclasses.replace(t, rows=tuple(tuple(r) for r in bad))
             return t
 
         monkeypatch.setattr(tables, "golden_table", fake)

@@ -10,6 +10,7 @@ from balmet import (
     BalancedFamily,
     DiagonalMetric,
     MetricError,
+    MultiIndexMetric,
     OperatorKind,
     QuadratureError,
     apply_T,
@@ -17,6 +18,7 @@ from balmet import (
     apply_Tnu,
     apply_operator,
     balanced_coeffs,
+    build_basis,
     density_profile,
     distance,
     is_palindromic,
@@ -448,6 +450,15 @@ class TestDegreeValidation:
     def test_dispatch(self):
         out = apply_operator("TK", (1, 2, 1))
         assert np.allclose(out.coeffs, (1, 2, 1), rtol=1e-10)
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_rejects_multi_index_metric(self, op):
+        # a MultiIndexMetric, even over CP^1, is the CP^n T_nu map's input
+        line = MultiIndexMetric(build_basis(1, 2), (1.0, 3.0, 2.0))
+        with pytest.raises(MetricError, match="expected a DiagonalMetric"):
+            OPS[op](line)
+        with pytest.raises(MetricError):
+            is_palindromic(line)
 
 
 def rho_exact(coeffs, x):

@@ -1,6 +1,9 @@
+import importlib
+
 import numpy as np
 import pytest
 
+import balmet
 from balmet import dynamics
 from balmet import (
     BalancedFamily,
@@ -24,6 +27,7 @@ from balmet import (
     multinomial_coeffs,
     scale,
     sigma_closed_form,
+    sigma_law,
     sigma_probe,
 )
 
@@ -229,6 +233,46 @@ class TestSigmaClosedForm:
             sigma_closed_form("T", 0)
         with pytest.raises(MetricError):
             sigma_closed_form("TK", 3)
+
+
+class TestSigmaLaw:
+    """The metric's type decides which maps it takes, as in ``apply_step``."""
+
+    @pytest.mark.parametrize("op", ["T", "TK"])
+    def test_cpn_metric_takes_tnu_only(self, op):
+        basis = build_basis(2, 2)
+        start = MultiIndexMetric(basis, multinomial_coeffs(basis) * np.arange(1, 7))
+        with pytest.raises(MetricError, match="only the T_nu map is defined on CP"):
+            sigma_law(op, start)
+
+    def test_cp1_multi_index_metric_takes_tnu_only(self):
+        line = MultiIndexMetric(build_basis(1, 4), (1.0, 4.0, 6.0, 5.0, 1.0))
+        with pytest.raises(MetricError, match="only the T_nu map is defined on CP"):
+            sigma_law("T", line)
+        with pytest.raises(MetricError):
+            build_trajectory("T", line, 1)
+
+    @pytest.mark.parametrize("coeffs, sym", [((1.0, 4.0, 6.0, 5.0, 1.0), False),
+                                             ((1.0, 4.0, 7.0, 4.0, 1.0), True)])
+    def test_cp1_multi_index_metric_reads_symmetry(self, coeffs, sym):
+        # swap invariance on CP^1 is palindromy, so the law is unchanged
+        line = MultiIndexMetric(build_basis(1, 4), coeffs)
+        diag = sigma_law("Tnu", DiagonalMetric(np.asarray(coeffs)))
+        assert sigma_law("Tnu", line) == (
+            diag[0], "generally symmetric" if sym else "generic")
+        assert diag[1] == ("palindromic" if sym else "non-palindromic")
+
+
+def test_package_names_are_listed_by_their_module():
+    # ``from balmet.<module> import *`` gives every name the package takes from it
+    for module in ("errors", "metrics", "quadrature", "cp1", "cpn", "dynamics", "tables"):
+        mod = importlib.import_module(f"balmet.{module}")
+        star = getattr(mod, "__all__", [n for n in vars(mod) if not n.startswith("_")])
+        for name in balmet.__all__:
+            obj = getattr(mod, name, None)
+            if obj is getattr(balmet, name) and \
+                    getattr(obj, "__module__", mod.__name__) == mod.__name__:
+                assert name in star, f"balmet.{module}.__all__ lacks {name}"
 
 
 class TestBoundSeries:
