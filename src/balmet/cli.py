@@ -54,20 +54,6 @@ EXIT_NUMERICAL = 2
 EXIT_MISMATCH = 3
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on usage errors, which collides with the
-    # "numerical failure" code; route usage errors to the validation code.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit_(EXIT_VALIDATION, f"{self.prog}: error: {message}")
-
-
-class SystemExit_(Exception):
-    def __init__(self, code: int, message: str = ""):
-        super().__init__(message)
-        self.code = code
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -158,36 +144,26 @@ def _build_start(args):
     """Returns (metric, class_indices or None)."""
     _check_start_args(args)
     n, k = args.n, args.k
-    alpha, c = (1.0 if v is None else v for v in (args.alpha, args.c))
-    if n == 1:
-        if args.class_coeffs:
-            raise MetricError("--class-coeffs applies to CP^n with n >= 2")
-        if args.coeffs:
-            coeffs = _parse_floats(args.coeffs)
-            if len(coeffs) != k + 1:
-                raise MetricError(
-                    f"expected {k + 1} coefficients for k={k}, got {len(coeffs)}")
-            return DiagonalMetric(np.asarray(coeffs)), None
-        if args.family is not None:  # the round metric is the binomial c = 1
-            return balanced_coeffs(BalancedFamily(k, alpha, c)), None
-        raise MetricError("provide --coeffs or --family for the start metric")
-    basis = build_basis(n, k)
+    if n == 1 and args.class_coeffs:
+        raise MetricError("--class-coeffs applies to CP^n with n >= 2")
+    basis = None if n == 1 else build_basis(n, k)
     if args.coeffs:
-        coeffs = _parse_floats(args.coeffs)
-        if len(coeffs) != basis.size:
-            raise MetricError(
-                f"expected {basis.size} coefficients for n={n}, k={k}, "
-                f"got {len(coeffs)}")
-        return MultiIndexMetric(basis, np.asarray(coeffs)), None
+        coeffs = np.asarray(_parse_floats(args.coeffs))
+        size, run = (k + 1, f"k={k}") if basis is None else (basis.size, f"n={n}, k={k}")
+        if coeffs.size != size:
+            raise MetricError(f"expected {size} coefficients for {run}, got {coeffs.size}")
+        metric = DiagonalMetric(coeffs) if basis is None else MultiIndexMetric(basis, coeffs)
+        return metric, None
+    if args.family is None and not args.class_coeffs:
+        raise MetricError("provide --coeffs or --family for the start metric" if basis is None
+                          else "provide --coeffs, --class-coeffs, or --family round")
+    alpha, c = (1.0 if v is None else v for v in (args.alpha, args.c))
+    if basis is None:  # --family round is the binomial family at c = 1
+        return balanced_coeffs(BalancedFamily(k, alpha, c)), None
+    reps = [o[0] for o in full_symmetry_orbits(basis)]
     if args.class_coeffs:
-        values = _parse_floats(args.class_coeffs)
-        metric = metric_from_class_values(basis, values)
-        reps = [o[0] for o in full_symmetry_orbits(basis)]
-        return metric, reps
-    if args.family == "round":
-        return MultiIndexMetric(basis, alpha * multinomial_coeffs(basis)), \
-            [o[0] for o in full_symmetry_orbits(basis)]
-    raise MetricError("provide --coeffs, --class-coeffs, or --family round")
+        return metric_from_class_values(basis, _parse_floats(args.class_coeffs)), reps
+    return MultiIndexMetric(basis, alpha * multinomial_coeffs(basis)), reps
 
 
 def cmd_iterate(args) -> int:
@@ -358,8 +334,8 @@ def cmd_profile(args) -> int:
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process (parsing leaves it as is)."""
-    parser = _Parser(prog="balmet",
-                     description="Balanced-metric iterations on projective space")
+    parser = argparse.ArgumentParser(
+        prog="balmet", description="Balanced-metric iterations on projective space")
     parser.add_argument("--version", action="version", version=f"balmet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -414,14 +390,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage error (code 2) or its --help/--version text
+        return EXIT_VALIDATION if exc.code else EXIT_OK
+    try:
         return args.fn(args)
-    except SystemExit_ as exc:
-        if str(exc):
-            print(str(exc), file=sys.stderr)
-        return exc.code
     except (MetricError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

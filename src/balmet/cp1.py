@@ -233,8 +233,10 @@ def density_profile(g, xs) -> DensityProfile:
     """Evaluate rho(x) = sum_{i>j} a_i a_j (i-j)^2 x^(i+j-1) / P(x)^2 pointwise.
 
     rho is invariant under uniform rescaling of the metric; coefficients are
-    normalized by their maximum before evaluation so extreme metrics stay in
-    floating range.
+    normalized by their maximum before evaluation.  The sums are formed at
+    x <= 1 only, where no power exceeds 1: beyond, the reversal identity
+    rho_g(x) = rho_{rev g}(1/x) / x^2 is used, and each division is taken
+    apart (as T does with S/Q^3) so that nothing leaves floating range early.
     """
     g = as_cp1_metric(g)
     xs = np.asarray(xs, dtype=float)
@@ -242,12 +244,20 @@ def density_profile(g, xs) -> DensityProfile:
         raise ValueError("sample points must form a non-empty 1-d array")
     if not np.all(np.isfinite(xs)) or np.any(xs <= 0.0):
         raise ValueError("sample points must be finite and positive")
-    k = g.k
     ah = g.coeffs / np.max(g.coeffs)
+    rho = np.empty_like(xs)
+    far = xs > 1.0
+    rho[~far] = _unit_density(ah, xs[~far])
+    rho[far] = _unit_density(ah[::-1], 1.0 / xs[far]) / xs[far] / xs[far]
+    return DensityProfile(xs, rho)
+
+
+def _unit_density(ah: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """rho(x) of the coefficients ah (max 1) at points 0 < x <= 1."""
     P = np.zeros_like(xs)
-    for i in range(k + 1):
-        P += ah[i] * xs**i
+    for i, a in enumerate(ah):
+        P += a * xs**i
     num = np.zeros_like(xs)
     for s, cs in enumerate(_density_coeffs(ah)):
         num += cs * xs**s
-    return DensityProfile(xs, num / P**2)
+    return num / P / P

@@ -206,6 +206,8 @@ def classify_symmetry(metric: MultiIndexMetric, tol: float = 1e-12) -> SymmetryC
     Invariance of coefficients is checked to relative tolerance tol; the orbit
     partition is taken under the subgroup of all invariant permutations.
     """
+    if not tol >= 0:  # a negative or NaN tol would leave even the identity out
+        raise ValueError(f"tol must be >= 0, got {tol}")
     perms, _, moves_all = _symmetries(metric.basis)
     invariant = _invariance(metric, tol)
     return SymmetryClassification(

@@ -102,16 +102,22 @@ def _check_cpn_op(op) -> None:
 
 def _orbit(op, g0, tol: float):
     """Yield the orbit g0, F(g0), F^2(g0), ... without end.  Every application
-    in this module runs here; a failing one gets its input's index attached
-    as ``step_index``."""
+    in this module runs here, after g0 is checked against the map's domain
+    (so an orbit of zero steps is checked too); a failing check or
+    application gets its input's index attached as ``step_index``."""
     g, kind = as_metric(g0), OperatorKind.parse(op)
-    for r in count():
-        yield g
-        try:
+    r = 0
+    try:
+        if isinstance(g, MultiIndexMetric):  # apply_step's dispatch
+            _check_cpn_op(kind)
+        else:
+            kind.validate_degree(g.k)
+        for r in count():
+            yield g
             g = apply_step(kind, g, tol=tol)
-        except Exception as exc:
-            exc.step_index = r
-            raise
+    except Exception as exc:
+        exc.step_index = r
+        raise
 
 
 def _check_distance_limit(name: str, value: float, allow_zero: bool = False) -> None:

@@ -190,8 +190,8 @@ def is_palindromic(g, tol: float = 1e-12) -> bool:
     Iterates of an exactly palindromic start stay palindromic only up to
     quadrature error, hence the tolerance; tol=0 demands exact equality.
     """
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
+    if not tol >= 0:  # NaN included
+        raise ValueError(f"tol must be >= 0, got {tol}")
     a = as_cp1_metric(g).coeffs
     b = a[::-1]
     return bool(np.all(np.abs(a - b) <= tol * np.maximum(a, b)))

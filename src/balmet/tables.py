@@ -22,6 +22,7 @@ from .dynamics import (
     build_trajectory,
     coordinate_sigma_series,
 )
+from .metrics import MultiIndexMetric
 
 __all__ = ["GoldenTable", "ReproduceReport", "CellDeviation", "TABLE_IDS",
            "golden_table", "generate_table", "reproduce", "trajectory_table"]
@@ -164,10 +165,11 @@ def golden_table(table_id: str) -> GoldenTable:
 def trajectory_table(traj, idx=None) -> tuple[list[str], list[list]]:
     """Header and rows ``r, coefficients, err, bnd, sigma_tilde`` of a
     trajectory, as ``balmet iterate`` prints them, with the coefficients at
-    basis positions idx (default all): a0..ak on CP^1, a1..aN on CP^n.  Under
-    first-coefficient normalization sigma_tilde tracks coordinate idx[1]."""
+    basis positions idx (default all): a0..ak for a DiagonalMetric, a1..aN for
+    a MultiIndexMetric (on CP^1 too, as ``apply_step`` dispatches on the type).
+    Under first-coefficient normalization sigma_tilde tracks coordinate idx[1]."""
     idx = range(traj.iterates[0].coeffs.size) if idx is None else idx
-    first = 0 if traj.iterates[0].n == 1 else 1
+    first = 1 if isinstance(traj.iterates[0], MultiIndexMetric) else 0
     if traj.normalization is NormalizationMode.FIRST_COEFF:
         sig = coordinate_sigma_series(traj, coord=idx[1] if len(idx) > 1 else 0)
     else:

@@ -15,6 +15,7 @@ import pytest
 import balmet
 from balmet import DiagonalMetric, OperatorKind, build_trajectory
 from balmet.cli import build_parser, main
+from balmet.tables import trajectory_table
 
 
 def run_cli(capsys, *argv):
@@ -131,6 +132,16 @@ class TestIterate:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
+    def test_cp1_multi_index_run_is_labelled_by_its_type(self):
+        # a MultiIndexMetric is labelled from a1 on CP^1 too, like every CP^n run
+        basis = balmet.build_basis(1, 2)
+        traj = build_trajectory("Tnu", balmet.MultiIndexMetric(basis, (1.0, 3.0, 2.0)), 1)
+        header, rows = trajectory_table(traj)
+        assert header == ["r", "a1", "a2", "a3", "err", "bnd", "sigma_tilde"]
+        assert len(rows) == 2
+        diagonal = build_trajectory("Tnu", DiagonalMetric(np.array([1.0, 3.0, 2.0])), 1)
+        assert trajectory_table(diagonal)[0][1:4] == ["a0", "a1", "a2"]
+
     def test_tnu_degree_zero(self, capsys):
         # T_nu is defined at k=0, where both of its sigma laws are 0
         code, out, err = run_cli(capsys, "iterate", "--op", "Tnu", "--k", "0",
@@ -164,8 +175,31 @@ class TestValidationErrors:
         assert code == 1
 
     def test_usage_error_exits_1(self, capsys):
-        code, _, _ = run_cli(capsys, "iterate", "--op", "T")
+        # argparse's own report: the usage, then "prog: error: ..."
+        code, out, err = run_cli(capsys, "iterate", "--op", "T")
         assert code == 1
+        assert out == ""
+        assert err.startswith("usage: balmet iterate ")
+        assert err.endswith("\nbalmet iterate: error: the following arguments are required:"
+                            " --k, --steps\n")
+
+    @pytest.mark.parametrize("argv", [["--version"], ["iterate", "--help"]],
+                             ids=["version", "iterate-help"])
+    def test_version_and_help_exit_0(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.startswith("balmet " if argv == ["--version"] else "usage: balmet iterate ")
+        assert err == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["--op", "TK", "--k", "3", "--coeffs", "1,2,3,4"],
+        ["--op", "T", "--k", "0", "--coeffs", "1"],
+    ], ids=["TK-odd-degree", "T-degree-zero"])
+    def test_profile_checks_the_map_at_zero_steps(self, capsys, argv):
+        code, out, err = run_cli(capsys, "profile", *argv, "--steps", "0")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: T")
 
     def test_numerical_failure_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "sigma", "--op", "T", "--k", "6",
@@ -493,20 +527,18 @@ class TestReproduceCommand:
         assert outputs[0]
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.parametrize("table_id, argv", [
-        ("tk-k2", "--op TK --k 2 --coeffs 1,17,36 --steps 5 --normalize balanced"),
-        ("tnu-k3", "--op Tnu --k 3 --coeffs 1,25,0.07,13 --steps 20 --normalize balanced"),
-        ("t-k6", "--op T --k 6 --coeffs 1,6000,150000,2e10,150000,6000,1 --steps 100 "
-         "--normalize balanced"),
-        ("cpn-k4", "--op Tnu --n 3 --k 4 --class-coeffs 1,20,30,40,50 --steps 8 "
-         "--normalize first"),
-    ])
-    def test_table_is_its_iterate_run(self, capsys, table_id, argv):
-        # the README's command for each table, cut to its golden rows and columns
-        code, out, err = run_cli(capsys, "iterate", *argv.split())
+    @pytest.mark.parametrize("table_id", balmet.TABLE_IDS)
+    def test_table_is_its_iterate_run(self, capsys, table_id):
+        # the table's declared run as an iterate command, cut to its golden
+        # rows and columns
+        table = balmet.golden_table(table_id)
+        op, n, k, start, steps, mode = table.run
+        code, out, err = run_cli(capsys, "iterate", "--op", op, "--n", str(n), "--k", str(k),
+                                 "--class-coeffs" if n > 1 else "--coeffs",
+                                 ",".join(map(repr, start)), "--steps", str(steps),
+                                 "--normalize", mode)
         assert code == 0, err
         header, rows = parse_csv(out)
-        table = balmet.golden_table(table_id)
         cols = [header.index("err" if c.name == "dist" else c.name) for c in table.columns]
         want = [[rows[int(g[0])][0]] + [rows[int(g[0])][j] for j in cols]
                 for g in table.rows]

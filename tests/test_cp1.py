@@ -510,6 +510,34 @@ class TestDensityProfile:
         rho_1 = density_profile(balanced_coeffs(BalancedFamily(k)), c * xs).rho
         assert np.allclose(rho_c, c * rho_1, rtol=1e-11)
 
+    def test_round_metric_over_the_whole_range(self):
+        # rho = k/(1+x)^2; P^2 once overflowed from k=53 on, giving inf/nan
+        xs = np.geomspace(1e-300, 1e300, 121)
+        normal = xs <= 1e140  # beyond, k/(1+x)^2 underflows, as rho may
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(1, 161):
+                rho = density_profile(balanced_coeffs(BalancedFamily(k)), xs).rho
+                assert np.all(np.isfinite(rho)) and np.all(rho >= 0)
+                np.testing.assert_allclose(rho[normal], k / (1.0 + xs[normal]) ** 2,
+                                           rtol=1e-14, atol=0)
+
+    def test_seeded_metrics_against_exact_arithmetic(self):
+        rng = np.random.default_rng(7)
+        checked = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(8):
+                k = int(rng.integers(1, 13))
+                a = 10.0 ** rng.uniform(-6, 6, k + 1)
+                xs = 10.0 ** rng.uniform(-300, 300, 8)
+                rho = density_profile(a, xs).rho
+                want = np.array([rho_exact(a, x) for x in xs])
+                normal = want > 1e-290  # the rest underflows, as rho may
+                np.testing.assert_allclose(rho[normal], want[normal], rtol=1e-14, atol=0)
+                checked += normal.sum()
+        assert checked >= 24
+
     def test_bad_samples(self):
         with pytest.raises(ValueError):
             density_profile((1, 1), np.array([0.0, 1.0]))

@@ -159,6 +159,13 @@ class TestClassifySymmetry:
         metric = MultiIndexMetric(basis, np.array([1.0, 300.0, 7.0, 300.0, 1.0]))
         assert classify_symmetry(metric).generally_symmetric
 
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_rejects_a_tol_below_zero_or_nan(self, tol):
+        # either would report no invariant permutation, not even the identity
+        metric = metric_from_class_values(build_basis(2, 2), (1, 2))
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            classify_symmetry(metric, tol=tol)
+
     @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-3])
     def test_matches_permutation_loop(self, tol):
         # one permutation at a time, as in the definition: the invariant

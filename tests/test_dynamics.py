@@ -62,6 +62,17 @@ class TestIterate:
             iterate("TK", (1.0, 2.0, 3.0, 4.0), 2)
         assert exc.value.step_index == 0
 
+    @pytest.mark.parametrize("op, start", [
+        ("TK", (1.0, 2.0, 3.0, 4.0)),
+        ("T", (3.0,)),
+        ("T", MultiIndexMetric(build_basis(2, 2), np.array([1.0, 2, 2, 1, 2, 1]))),
+    ], ids=["TK-odd-degree", "T-degree-zero", "T-on-CP2"])
+    def test_zero_step_orbit_checks_the_domain(self, op, start):
+        # the start must lie in the map's domain even when no step is taken
+        with pytest.raises(MetricError) as exc:
+            iterate(op, start, 0)
+        assert exc.value.step_index == 0
+
     def test_negative_steps(self):
         with pytest.raises(ValueError):
             iterate("T", (1.0, 2.0), -1)

@@ -144,6 +144,11 @@ class TestPalindromic:
         with pytest.raises(ValueError):
             is_palindromic((1, 1), tol=-1.0)
 
+    def test_nan_tol_rejected(self):
+        # every comparison with NaN is false: the check must not pass it
+        with pytest.raises(ValueError, match="tol must be >= 0, got nan"):
+            is_palindromic((1, 1), tol=float("nan"))
+
 
 class TestBalancedFamily:
     def test_expansion_k2(self):
