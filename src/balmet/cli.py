@@ -96,13 +96,6 @@ def _add_tol(p: argparse.ArgumentParser) -> None:
                    help="per-application quadrature tolerance")
 
 
-def _add_limit_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--conv-tol", type=float, default=DEFAULT_CONV_TOL,
-                   help="balanced-limit convergence tolerance")
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
-                   help="iteration cap for the balanced limit")
-
-
 def _add_output_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -216,8 +209,7 @@ def cmd_sigma(args) -> int:
     kind = OperatorKind.parse(args.op)
     predicted, regime = sigma_law(kind, metric)
     sigma_hat, used = sigma_probe(kind, metric, err_floor=args.err_floor,
-                                  tol=args.tol, max_steps=args.steps,
-                                  conv_tol=args.conv_tol, max_iter=args.max_iter)
+                                  tol=args.tol, max_steps=args.steps)
     report = {
         "operator": kind.value,
         "n": args.n,
@@ -348,16 +340,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_it.add_argument("--normalize", default="balanced",
                       choices=[m.value for m in NormalizationMode])
     _add_tol(p_it)
-    _add_limit_args(p_it)
+    p_it.add_argument("--conv-tol", type=float, default=DEFAULT_CONV_TOL,
+                      help="balanced-limit convergence tolerance")
+    p_it.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
+                      help="iteration cap for the balanced limit")
     _add_output_args(p_it)
     p_it.set_defaults(fn=cmd_iterate)
 
     p_sig = sub.add_parser("sigma", help="estimate the convergence ratio")
     _add_metric_args(p_sig)
     p_sig.add_argument("--steps", type=int, default=300,
-                       help="iteration cap for the estimate")
+                       help="index of the last step size the estimate may read")
     p_sig.add_argument("--err-floor", type=float, default=DEFAULT_ERR_FLOOR,
-                       help="ignore distance ratios below this floor")
+                       help="stop at the first step size at or below this floor")
     p_sig.add_argument("--palindromic", type=_bool_flag, default=None,
                        help="with no explicit start: generate one of this parity")
     p_sig.add_argument("--symmetric", type=_bool_flag, default=None,
@@ -365,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sig.add_argument("--seed", type=int, default=0,
                        help="seed for generated starts")
     _add_tol(p_sig)
-    _add_limit_args(p_sig)
     _add_output_args(p_sig)
     p_sig.set_defaults(fn=cmd_sigma)
 

@@ -62,6 +62,7 @@ __all__ = [
     "permutation_orbits",
     "classify_symmetry",
     "apply_Tnu_cpn",
+    "check_dimension",
     "sigma_predict_cpn",
     "multinomial_coeffs",
     "full_symmetry_orbits",
@@ -293,6 +294,12 @@ def _leading_product(factors: tuple[np.ndarray, ...], rows: slice) -> np.ndarray
     return out
 
 
+def check_dimension(n: int) -> None:
+    """Raise MetricError unless ``apply_Tnu_cpn`` handles CP^n."""
+    if n not in _SUPPORTED_N:
+        raise MetricError(f"unsupported dimension n={n}; this build handles n <= 3")
+
+
 def apply_Tnu_cpn(
     metric: MultiIndexMetric,
     tol: float = DEFAULT_APPLY_TOL,
@@ -305,8 +312,7 @@ def apply_Tnu_cpn(
     """
     basis = metric.basis
     n, k = basis.n, basis.k
-    if n not in _SUPPORTED_N:
-        raise MetricError(f"unsupported dimension n={n}; this build handles n <= 3")
+    check_dimension(n)
     amax = float(np.max(metric.coeffs))
     ah = metric.coeffs / amax
     # orbits under the permutations that fix the coefficients bitwise: exact

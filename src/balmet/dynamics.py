@@ -6,15 +6,19 @@ converges linearly to a balanced metric B.  The per-step distance ratio tends
 to a constant sigma depending only on the operator, the degree, and (for
 T_nu) whether the start is palindromic; the distance at step r is observed to
 stay below log(1 + exp(k*d) * sigma^r) with d the initial distance.  One
-recorded orbit g0, F(g0), ... gives all of these: its prefix the iterates,
+recorded orbit g0, F(g0), ... gives the trajectory: its prefix the iterates,
 their errors (distances to B) and error ratios, its last item the limit B.
+The step sizes s_r = d(g_r, g_{r+1}) decay like sigma^r too (asymptotically
+s_r = (1 - sigma) err_r), so ``sigma_probe`` reads sigma off their ratios as
+the orbit runs, with no limit; its err_floor (default 1e-8) bounds step
+sizes, not errors.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import count, islice, pairwise
 from math import log
 
 import numpy as np
@@ -47,7 +51,7 @@ __all__ = [
 
 DEFAULT_CONV_TOL = 1e-13
 DEFAULT_MAX_ITER = 2000
-DEFAULT_ERR_FLOOR = 1e-11
+DEFAULT_ERR_FLOOR = 1e-8
 
 
 class NormalizationMode(enum.Enum):
@@ -110,6 +114,7 @@ def _orbit(op, g0, tol: float):
     try:
         if isinstance(g, MultiIndexMetric):  # apply_step's dispatch
             _check_cpn_op(kind)
+            cpn.check_dimension(g.n)
         else:
             kind.validate_degree(g.k)
         for r in count():
@@ -306,45 +311,46 @@ def coordinate_sigma_series(traj: Trajectory, coord: int = 1) -> list[float]:
     return out
 
 
-def _latest_ratio(errs, err_floor: float, context: str) -> tuple[float, int]:
-    """(errs[r] / errs[r-1], r) for the latest r with errs[r] above err_floor,
-    needing 3 such errors; ratios below the floor are quadrature noise."""
-    above = [r for r, e in enumerate(errs) if e > err_floor]
+def _latest_ratio(steps, err_floor: float, context: str) -> tuple[float, int]:
+    """(steps[r] / steps[r-1], r) for the latest r with steps[r] above err_floor,
+    needing 3 such step sizes; below the floor, quadrature error swamps the
+    ratios."""
+    above = [r for r, s in enumerate(steps) if s > err_floor]
     if len(above) < 3:
         raise ConvergenceError(f"{context}: trajectory reached the error floor too"
                                " quickly for a ratio estimate")
     r = above[-1]
-    return errs[r] / errs[r - 1], r
+    return steps[r] / steps[r - 1], r
 
 
 def sigma_probe(op, g0, err_floor: float = DEFAULT_ERR_FLOOR,
-                tol: float = DEFAULT_APPLY_TOL, max_steps: int = 300,
-                conv_tol: float = DEFAULT_CONV_TOL,
-                max_iter: int = DEFAULT_MAX_ITER) -> tuple[float, int]:
-    """Estimate the asymptotic distance ratio from one orbit run to its limit.
+                tol: float = DEFAULT_APPLY_TOL, max_steps: int = 300) -> tuple[float, int]:
+    """Estimate the asymptotic distance ratio from the step sizes of one orbit.
 
-    Errors are measured under first-coefficient normalization (scale-free, so
-    the estimate is insensitive to the limit's overall scale), up to the
-    first one at or below err_floor and for at most max_steps (>= 2) steps.
-    Returns (sigma_hat, steps_used) where sigma_hat is the latest ratio whose
-    numerator exceeds err_floor.
+    Step sizes s_r = d(g_r, g_{r+1}) are measured under first-coefficient
+    normalization (scale-free), one application each, up to the first at or
+    below err_floor or up to s_max_steps (max_steps >= 2).  So err_floor
+    bounds step sizes, not errors: asymptotically s_r = (1 - sigma) err_r.
+    The default floor, 1e-8, gave the least worst error over the sigma-law
+    configurations: smaller floors read quadrature error, larger ones stop
+    before the ratio settles.  Returns (sigma_hat, r) where sigma_hat =
+    s_r / s_{r-1} is the latest ratio whose numerator exceeds err_floor.
     """
     _check_distance_limit("err_floor", err_floor, allow_zero=True)
     if max_steps < 2:
-        raise ValueError(f"max_steps must be >= 2 (a ratio needs three errors), "
+        raise ValueError(f"max_steps must be >= 2 (a ratio needs three step sizes), "
                          f"got {max_steps}")
     g0, kind = as_metric(g0), OperatorKind.parse(op)
     # T_nu at k=0 is the identity, and every degree-1 metric is binomial
     if (kind, g0.k) in ((OperatorKind.TNU, 0), (OperatorKind.T, 1)):
         raise MetricError(f"{kind.value} at k={g0.k} fixes every metric: "
                           "there is no contraction ratio to estimate")
-    orbit = _orbit_to_limit(kind, g0, 0, conv_tol, max_iter, tol)
-    errs = [_shape_distance(g0, orbit[-1])]
-    for g in orbit[1:]:
-        if len(errs) > max_steps or errs[-1] <= err_floor:
+    steps = []
+    for g, h in pairwise(_orbit(kind, g0, tol)):
+        steps.append(_shape_distance(g, h))
+        if steps[-1] <= err_floor or len(steps) > max_steps:
             break
-        errs.append(_shape_distance(g, orbit[-1]))
-    return _latest_ratio(errs, err_floor, f"{kind.value}, n={g0.n}, k={g0.k}")
+    return _latest_ratio(steps, err_floor, f"{kind.value}, n={g0.n}, k={g0.k}")
 
 
 def sigma_closed_form(op, k: int, palindromic: bool = False) -> float:

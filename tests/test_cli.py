@@ -202,9 +202,8 @@ class TestValidationErrors:
         assert err.startswith("error: T")
 
     def test_numerical_failure_exits_2(self, capsys):
-        code, _, err = run_cli(capsys, "sigma", "--op", "T", "--k", "6",
-                               "--coeffs", "1,6000,150000,2e10,150000,6000,1",
-                               "--max-iter", "2")
+        code, _, err = run_cli(capsys, "sigma", "--op", "T", "--k", "2",
+                               "--coeffs", "1,1e100,1")
         assert code == 2
         assert "numerical failure" in err
 
@@ -275,11 +274,9 @@ class TestValidationErrors:
 
     @pytest.mark.parametrize("argv, message", [
         (["sigma", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--steps", "-1"],
-         "max_steps must be >= 2 (a ratio needs three errors), got -1"),
+         "max_steps must be >= 2 (a ratio needs three step sizes), got -1"),
         (["sigma", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--steps", "1"],
-         "max_steps must be >= 2 (a ratio needs three errors), got 1"),
-        (["sigma", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--max-iter", "-1"],
-         "max_iter must be >= 0, got -1"),
+         "max_steps must be >= 2 (a ratio needs three step sizes), got 1"),
         (["iterate", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--steps", "2",
           "--max-iter", "-1"], "max_iter must be >= 0, got -1"),
         (["profile", "--op", "T", "--k", "2", "--coeffs", "1,2,1", "--steps", "-1"],
@@ -289,10 +286,6 @@ class TestValidationErrors:
           "--conv-tol", "-1", "--max-iter", "5"], "conv_tol must be > 0, got -1.0"),
         (["iterate", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--steps", "1",
           "--conv-tol", "nan"], "conv_tol must be > 0, got nan"),
-        (["sigma", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--conv-tol", "-1"],
-         "conv_tol must be > 0, got -1.0"),
-        (["sigma", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--conv-tol", "nan"],
-         "conv_tol must be > 0, got nan"),
         (["sigma", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--err-floor", "nan"],
          "err_floor must be >= 0, got nan"),
         # an infinite conv_tol would take the start itself as the limit
@@ -300,8 +293,6 @@ class TestValidationErrors:
           "--conv-tol", "inf"], "conv_tol must be finite, got inf"),
         (["iterate", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--steps", "1",
           "--conv-tol", "inf"], "conv_tol must be finite, got inf"),
-        (["sigma", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--conv-tol", "inf"],
-         "conv_tol must be finite, got inf"),
         (["sigma", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--err-floor", "inf"],
          "err_floor must be finite, got inf"),
         # distances are in natural-log units: a limit of 1 or more is met by
@@ -309,8 +300,8 @@ class TestValidationErrors:
         (["iterate", "--op", "Tnu", "--k", "3", "--coeffs", "1,25,0.07,13", "--steps", "1",
           "--conv-tol", "1e300"], "conv_tol must be < 1 (distances are in natural-log units), "
          "got 1e+300"),
-        (["sigma", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--conv-tol", "1"],
-         "conv_tol must be < 1 (distances are in natural-log units), got 1.0"),
+        (["iterate", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--steps", "1",
+          "--conv-tol", "1"], "conv_tol must be < 1 (distances are in natural-log units), got 1.0"),
         (["sigma", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--err-floor", "1e300"],
          "err_floor must be < 1 (distances are in natural-log units), got 1e+300"),
         # checked before np.geomspace, which warns on a non-positive end point
@@ -318,11 +309,10 @@ class TestValidationErrors:
          "--x-min must be finite and positive, got -1.0"),
         (["profile", "--op", "T", "--k", "2", "--coeffs", "1,2,1", "--x-max", "0"],
          "--x-max must be finite and positive, got 0.0"),
-    ], ids=["sigma-steps", "sigma-one-step", "sigma-max-iter", "iterate-max-iter",
+    ], ids=["sigma-steps", "sigma-one-step", "iterate-max-iter",
             "profile-steps", "iterate-conv-tol-negative", "iterate-conv-tol-nan",
-            "sigma-conv-tol-negative", "sigma-conv-tol-nan", "sigma-err-floor-nan",
-            "iterate-conv-tol-inf-tnu", "iterate-conv-tol-inf-tk", "sigma-conv-tol-inf",
-            "sigma-err-floor-inf", "iterate-conv-tol-huge", "sigma-conv-tol-one",
+            "sigma-err-floor-nan", "iterate-conv-tol-inf-tnu", "iterate-conv-tol-inf-tk",
+            "sigma-err-floor-inf", "iterate-conv-tol-huge", "iterate-conv-tol-one",
             "sigma-err-floor-huge",
             "profile-x-min", "profile-x-max"])
     def test_run_limit_out_of_range(self, capsys, argv, message):
@@ -434,6 +424,29 @@ class TestSigmaCommand:
         assert report["sigma_predicted"] == pytest.approx(0.50, rel=1e-12)
         assert report["regime"] == "generic"
         assert abs(report["abs_difference"]) < 0.01
+
+    @pytest.mark.parametrize("argv, law", [
+        (["--op", "T", "--k", "4", "--seed", "1"], 5 / 7),
+        (["--op", "Tnu", "--n", "3", "--k", "2", "--seed", "3"], 1 / 3),
+    ], ids=["T-k4", "Tnu-cp3-k2"])
+    def test_default_estimate_is_within_2e_7_of_the_law(self, capsys, argv, law):
+        # step ratios down to the default floor of 1e-8 read 1.5e-8 and
+        # 1.1e-7 off these laws
+        code, out, _ = run_cli(capsys, "sigma", *argv, "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["sigma_predicted"] == pytest.approx(law, rel=1e-15)
+        assert report["abs_difference"] < 2e-7
+
+    @pytest.mark.parametrize("flag, value", [("--conv-tol", "1e-13"), ("--max-iter", "2000")],
+                             ids=["--conv-tol", "--max-iter"])
+    def test_rejects_flags_it_does_not_read(self, capsys, flag, value):
+        # sigma reads the orbit's step sizes and finds no balanced limit
+        code, out, err = run_cli(capsys, "sigma", "--op", "TK", "--k", "2",
+                                 "--coeffs", "1,17,36", flag, value)
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments" in err
 
     def test_generated_start_checks_dimension_first(self, capsys):
         # rejected before any (n+1)! permutation scan

@@ -1,4 +1,5 @@
 import importlib
+from math import comb
 
 import numpy as np
 import pytest
@@ -35,6 +36,20 @@ TK_START = (1.0, 17.0, 36.0)
 T6_START = (1.0, 6000.0, 150000.0, 2e10, 150000.0, 6000.0, 1.0)
 
 
+@pytest.fixture
+def applications(monkeypatch):
+    """A list that gains one item per ``dynamics.apply_step`` call."""
+    calls = []
+    real = dynamics.apply_step
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "apply_step", counted)
+    return calls
+
+
 class TestIterate:
     def test_round_metric_constant_under_Tnu(self):
         g = balanced_coeffs(BalancedFamily(3))
@@ -66,7 +81,8 @@ class TestIterate:
         ("TK", (1.0, 2.0, 3.0, 4.0)),
         ("T", (3.0,)),
         ("T", MultiIndexMetric(build_basis(2, 2), np.array([1.0, 2, 2, 1, 2, 1]))),
-    ], ids=["TK-odd-degree", "T-degree-zero", "T-on-CP2"])
+        ("Tnu", MultiIndexMetric(build_basis(4, 1), np.ones(5))),
+    ], ids=["TK-odd-degree", "T-degree-zero", "T-on-CP2", "Tnu-on-CP4"])
     def test_zero_step_orbit_checks_the_domain(self, op, start):
         # the start must lie in the map's domain even when no step is taken
         with pytest.raises(MetricError) as exc:
@@ -162,40 +178,60 @@ class TestErrorSeriesAndSigma:
         assert used > 3
 
     def test_sigma_probe_matches_two_pass_definition(self):
-        # find the limit, then iterate from the start again until the error
-        # reaches the floor, and take the latest ratio above the floor
+        # iterate until a step size reaches the floor, then take the latest
+        # ratio of step sizes above the floor
         start, floor = as_metric((1.0, 25.0, 0.07, 13.0)), 1e-8
 
         def first(g):
             return scale(g, 1.0 / float(g.coeffs[0]))
 
-        bal = first(find_balanced("Tnu", start))
-        errs, cur = [distance(first(start), bal)], start
-        while len(errs) <= 300 and errs[-1] > floor:
-            cur = dynamics.apply_step("Tnu", cur)
-            errs.append(distance(first(cur), bal))
-        r = max(i for i, e in enumerate(errs) if e > floor)
-        assert sigma_probe("Tnu", start, err_floor=floor) == (errs[r] / errs[r - 1], r)
+        orbit, steps = [start], []
+        while len(steps) <= 300 and (not steps or steps[-1] > floor):
+            orbit.append(dynamics.apply_step("Tnu", orbit[-1]))
+            steps.append(distance(first(orbit[-2]), first(orbit[-1])))
+        r = max(i for i, s in enumerate(steps) if s > floor)
+        assert sigma_probe("Tnu", start, err_floor=floor) == (steps[r] / steps[r - 1], r)
 
     @pytest.mark.parametrize("op,start", [("TK", TK_START),
                                           ("Tnu", (1.0, 25.0, 0.07, 13.0))])
-    def test_sigma_probe_applies_only_to_the_limit(self, monkeypatch, op, start):
-        calls = []
-        real = dynamics.apply_step
-
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(dynamics, "apply_step", counted)
+    def test_sigma_probe_stops_at_the_floor(self, applications, op, start):
+        # one application per step size, up to the first at or below the
+        # floor: fewer than the balanced limit takes
+        floor, g, steps = 1e-8, as_metric(start), []
+        while not steps or steps[-1] > floor:
+            h = dynamics.apply_step(op, g)
+            steps.append(distance(scale(g, 1 / g.coeffs[0]), scale(h, 1 / h.coeffs[0])))
+            g = h
+        applications.clear()
+        sigma_probe(op, start, err_floor=floor)
+        probe_apps = len(applications)
+        applications.clear()
         find_balanced(op, start)
-        limit_apps = len(calls)
-        calls.clear()
-        sigma_probe(op, start, err_floor=1e-8)
-        assert len(calls) == limit_apps
+        assert probe_apps == len(steps) < len(applications)
+
+    def test_sigma_probe_reads_max_steps_step_sizes_at_most(self, applications):
+        # a floor of 0 is never reached: the cap ends the orbit at s_max_steps
+        _, used = sigma_probe("Tnu", (1.0, 25.0, 0.07, 13.0), err_floor=0.0, max_steps=5)
+        assert (used, len(applications)) == (5, 6)
+
+    @pytest.mark.parametrize("n,k,op", [(1, 4, "T"), (2, 3, "Tnu"), (3, 2, "Tnu")])
+    def test_sigma_probe_is_steady_across_floors(self, n, k, op):
+        # within 1e-9..1e-7, one decade of floor moves the estimate by less
+        # than 5e-6 (by at most 1.6e-6 on seeds 0..5)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            if n == 1:
+                base = np.array([comb(k, q) for q in range(k + 1)], float)
+                g = DiagonalMetric(base * np.exp(rng.uniform(-0.5, 0.5, k + 1)))
+            else:
+                basis = build_basis(n, k)
+                base = multinomial_coeffs(basis)
+                g = MultiIndexMetric(basis, base * np.exp(rng.uniform(-0.5, 0.5, basis.size)))
+            hats = [sigma_probe(op, g, err_floor=f)[0] for f in (1e-7, 1e-8, 1e-9)]
+            assert max(abs(np.diff(hats))) < 5e-6, (seed, hats)
 
     def test_sigma_probe_rejects_negative_floor(self):
-        # every error, the limit's own 0 included, would count as above it
+        # every step size, 0 included, would count as above it
         with pytest.raises(ValueError, match="err_floor"):
             sigma_probe("TK", TK_START, err_floor=-1.0)
 
