@@ -286,6 +286,11 @@ class TestValidationErrors:
           "--conv-tol", "-1", "--max-iter", "5"], "conv_tol must be > 0, got -1.0"),
         (["iterate", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--steps", "1",
           "--conv-tol", "nan"], "conv_tol must be > 0, got nan"),
+        # sigma finds no balanced limit, so it takes no conv_tol at all
+        (["sigma", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--conv-tol", "-1"],
+         "unrecognized arguments: --conv-tol -1"),
+        (["sigma", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--conv-tol", "nan"],
+         "unrecognized arguments: --conv-tol nan"),
         (["sigma", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--err-floor", "nan"],
          "err_floor must be >= 0, got nan"),
         # an infinite conv_tol would take the start itself as the limit
@@ -293,6 +298,8 @@ class TestValidationErrors:
           "--conv-tol", "inf"], "conv_tol must be finite, got inf"),
         (["iterate", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--steps", "1",
           "--conv-tol", "inf"], "conv_tol must be finite, got inf"),
+        (["sigma", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--conv-tol", "inf"],
+         "unrecognized arguments: --conv-tol inf"),
         (["sigma", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--err-floor", "inf"],
          "err_floor must be finite, got inf"),
         # distances are in natural-log units: a limit of 1 or more is met by
@@ -311,7 +318,8 @@ class TestValidationErrors:
          "--x-max must be finite and positive, got 0.0"),
     ], ids=["sigma-steps", "sigma-one-step", "iterate-max-iter",
             "profile-steps", "iterate-conv-tol-negative", "iterate-conv-tol-nan",
-            "sigma-err-floor-nan", "iterate-conv-tol-inf-tnu", "iterate-conv-tol-inf-tk",
+            "sigma-conv-tol-negative", "sigma-conv-tol-nan", "sigma-err-floor-nan",
+            "iterate-conv-tol-inf-tnu", "iterate-conv-tol-inf-tk", "sigma-conv-tol-inf",
             "sigma-err-floor-inf", "iterate-conv-tol-huge", "iterate-conv-tol-one",
             "sigma-err-floor-huge",
             "profile-x-min", "profile-x-max"])
