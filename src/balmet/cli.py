@@ -210,6 +210,9 @@ def cmd_sigma(args) -> int:
     predicted, regime = sigma_law(kind, metric)
     sigma_hat, used = sigma_probe(kind, metric, err_floor=args.err_floor,
                                   tol=args.tol, max_steps=args.steps)
+    if used == args.steps:  # the step cap, not the floor, ended the orbit
+        print(f"warning: no step size reached --err-floor {args.err_floor:g} within"
+              f" --steps {args.steps}; sigma_hat may not have settled", file=sys.stderr)
     report = {
         "operator": kind.value,
         "n": args.n,

@@ -23,15 +23,21 @@ moves it only by rounding: at most 3.9e-15 relative on CP^3 (k <= 5),
 8.9e-16 on CP^2 and 2.2e-16 on CP^1.
 
 After the Duffy map every term of D and every numerator is a product of
-one-axis factors t^e (1-t)^f, so each rule level is two tensor contractions:
-D = sum_p a_p prod_j F_j[p] over the node grid, then each numerator's
-per-axis factors (Jacobian and weights included) against 1/D.  Both run as
-matrix products over slabs of the first axis, so no level holds more than
-48^3 grid points at a time.  None of the factors depends on the metric: they
-are built once per basis, set of orbit representatives and node count, and
-cached read-only.  A level scales the first axis of D's factors by a, then
-per slab forms the outer products over the leading axes (all but the last)
-of D's factors and of the numerators', and runs its two products.
+one-axis factors t^e (1-t)^f, and on the first axis that factor depends only
+on e = alpha_1, which takes k+1 values.  So each rule level groups the terms
+by e: D(x_1, x') = sum_e F_e(x_1) H_e(x'), where H_e sums the terms whose
+alpha_1 is e over the trailing axes x', one matrix product of (k+1) N
+m^(n-1) multiply-adds (a one-hot grouping, N m^(n-1) of them nonzero).  The
+numerators' first-axis factors (Duffy Jacobian and weights included) are
+k+1 functions G_e too, so K_e(x') = sum_x1 G_e(x_1) / D(x_1, x') leaves
+each orbit representative one reduction of its trailing factors against its
+K_e.  Forming D and K takes 2(k+1) m^n multiply-adds per level, whatever
+the numbers of basis elements and of representatives.  Both run as matrix
+products over slabs of columns of the last axis, whose D, H and K share one
+budget of 48^3 values, so no level holds more at a time.  None of the
+factors depends on the metric: they are built once per basis, set of orbit
+representatives and node count, and cached read-only, the grouping by e
+folded into the middle axis's factors.
 """
 
 from __future__ import annotations
@@ -71,10 +77,12 @@ __all__ = [
 
 _SUPPORTED_N = (1, 2, 3)
 
-# Most node-grid points one rule level holds at a time.  Finer levels are
-# evaluated in slabs along the first axis, so an application's peak memory
-# does not depend on the level it certifies at (a whole 96^3 grid and its
-# reciprocal take 14 MB).  On CP^3 the 24 and 48 levels are one slab.
+# Most grid-sized values one rule level holds at a time: for a slab of
+# columns of the last axis, D over the whole first axis and the sums H and K,
+# k+1 values per point of the trailing axes each.  Finer levels take more,
+# narrower slabs, so an application's peak memory does not depend on the
+# level it certifies at (a whole 96^3 grid and its reciprocal take 14 MB).
+# On CP^3 at k=4 the 24-node level is one slab, the 48-node level two.
 _GRID_BLOCK = 48 ** 3
 
 
@@ -261,11 +269,19 @@ def metric_from_class_values(basis: MonomialBasis, values) -> MultiIndexMetric:
 
 
 @lru_cache(maxsize=64)
-def _factor_tables(basis: MonomialBasis, reps: tuple[int, ...],
-                   m: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Per-axis factors at m nodes (read-only): the terms t^e (1-t)^f of every
-    basis element in D, without a, and the numerators of the representatives
-    reps with the Duffy Jacobian and the weights folded in."""
+def _factor_tables(basis: MonomialBasis, reps: tuple[int, ...], m: int) -> tuple[np.ndarray, ...]:
+    """Per-axis factors at m nodes (read-only), grouped by the first Duffy
+    exponent e = alpha_1, on which alone a first-axis factor depends:
+
+    - the first-axis factors of D and of the numerators, (k+1, m) each, the
+      latter with the Duffy Jacobian and the weights folded in;
+    - for the basis elements in D (without a), one column each: the
+      middle-axis factor in the block of rows of its e, ((k+1) m, N); and
+      the last-axis factors, one row each, (N, m);
+    - the same two tables for the numerators of the representatives reps.
+
+    An axis that CP^n lacks is a column of ones.
+    """
     n, k = basis.n, basis.k
     t, omt, w = gauss_legendre_unit(m)
     pt = t[None, :] ** np.arange(k + 1)[:, None]
@@ -274,24 +290,19 @@ def _factor_tables(basis: MonomialBasis, reps: tuple[int, ...],
     # ... - alpha_j) on axis j; the numerators add the Jacobian (1-t)^(n-1-j)
     t_pow = np.array(basis.exponents)
     omt_pow = k - np.cumsum(t_pow, axis=1)
-    num_t_pow = t_pow[list(reps)]
-    num_omt_pow = omt_pow[list(reps)] + np.arange(n - 1, -1, -1)
-    denom = tuple(pt[t_pow[:, j]] * pomt[omt_pow[:, j]] for j in range(n))
-    numer = tuple(pt[num_t_pow[:, j]] * pomt[num_omt_pow[:, j]] * w for j in range(n))
-    for f in denom + numer:
+    e = np.arange(k + 1)
+
+    def trailing(t_exp, omt_exp, weight):
+        factors = [np.ones((len(t_exp), 1))] * (3 - n) + [
+            pt[t_exp[:, j]] * pomt[omt_exp[:, j]] * weight for j in range(1, n)]
+        grouped = (t_exp[:, 0] == e[:, None])[:, None, :] * factors[0].T
+        return grouped.reshape(-1, len(t_exp)), factors[1]
+
+    tables = (pt * pomt[k - e], pt * pomt[k - e + n - 1] * w, *trailing(t_pow, omt_pow, 1.0),
+              *trailing(t_pow[list(reps)], omt_pow[list(reps)] + np.arange(n - 1, -1, -1), w))
+    for f in tables:
         f.flags.writeable = False
-    return denom, numer
-
-
-def _leading_product(factors: tuple[np.ndarray, ...], rows: slice) -> np.ndarray:
-    """prod_j factors[j][:, x_j] over the grid of all axes but the last, the
-    first axis restricted to ``rows``: shape (terms, grid points)."""
-    if len(factors) == 1:
-        return np.ones((len(factors[0]), 1))
-    out = factors[0][:, rows]
-    for f in factors[1:-1]:
-        out = (out[:, :, None] * f[:, None, :]).reshape(len(f), -1)
-    return out
+    return tables
 
 
 def check_dimension(n: int) -> None:
@@ -321,20 +332,25 @@ def apply_Tnu_cpn(
     _, reps, owner = _partition(basis, _invariance(metric, 0.0))
 
     def evaluate(m: int) -> np.ndarray:
-        # D = sum_p ah_p prod_j f_pj(t_j) over the node grid, then every
-        # representative numerator (weights included) against 1/D, one slab
-        # of the first axis at a time: two matrix products per slab, whose
-        # inner index is the term p and the last axis respectively
-        denom, numer = _factor_tables(basis, reps, m)
-        denom = (ah[:, None] * denom[0],) + denom[1:]
-        total = np.zeros(len(reps))
-        step = max(1, _GRID_BLOCK // m ** (n - 1))
-        for lo in range(0, m, step):
-            rows = slice(lo, lo + step)
-            R = _leading_product(denom, rows).T @ denom[-1]
+        # D(x_1, x') = sum_e first[e](x_1) H_e(x') over the trailing axes x',
+        # H_e summing the terms whose alpha_1 is e.  A numerator's first-axis
+        # factor depends on e alone too, so K_e(x') = sum_x1 first_numer[e] / D
+        # leaves one reduction of each representative's trailing factors
+        # against its K_e.  H, D and K are formed for one slab of last-axis
+        # columns at a time; Y gathers the reductions over the slabs
+        first, first_numer, grouped, last, numer_grouped, numer_last = (
+            _factor_tables(basis, reps, m))
+        mid = len(grouped) // (k + 1)
+        width = max(1, _GRID_BLOCK // (mid * (m + 2 * (k + 1))))
+        Y = np.zeros(numer_grouped.shape)
+        for lo in range(0, last.shape[1], width):
+            cols = slice(lo, lo + width)
+            R = first.T @ (grouped @ (ah[:, None] * last[:, cols])).reshape(k + 1, -1)
             np.divide(1.0, R, out=R)
-            total += np.einsum("il,li->i", _leading_product(numer, rows), R @ numer[-1].T)
-        return total
+            K = (first_numer @ R).reshape(len(grouped), -1)
+            del R  # the next slab's grid is built before R would be rebound
+            Y += K @ numer_last[:, cols].T
+        return (Y * numer_grouped).sum(axis=0)
 
     try:
         integrals, _ = refine_by_doubling(evaluate, tol, DEFAULT_START_NODES[n],

@@ -446,6 +446,25 @@ class TestSigmaCommand:
         assert report["sigma_predicted"] == pytest.approx(law, rel=1e-15)
         assert report["abs_difference"] < 2e-7
 
+    @pytest.mark.parametrize("argv, used", [
+        (["--op", "Tnu", "--k", "2", "--coeffs", "1,3,1", "--steps", "2", "--err-floor", "0"], 2),
+        (["--op", "T", "--k", "6", "--err-floor", "1e-8"], 87),
+    ], ids=["capped", "floor-reached"])
+    def test_says_when_the_step_cap_ended_the_orbit(self, capsys, argv, used):
+        # a floor of 0 is never reached, so the estimate is read at the cap:
+        # one line on stderr, the report and the exit code as always
+        code, out, err = run_cli(capsys, "sigma", *argv)
+        assert code == 0
+        report = dict(line.split(": ", 1) for line in out.strip().splitlines())
+        assert list(report) == ["operator", "n", "k", "regime", "sigma_hat",
+                                "sigma_predicted", "abs_difference", "iterations_used"]
+        assert int(report["iterations_used"]) == used
+        if used == 2:
+            assert err == ("warning: no step size reached --err-floor 0 within --steps 2;"
+                           " sigma_hat may not have settled\n")
+        else:
+            assert err == ""
+
     @pytest.mark.parametrize("flag, value", [("--conv-tol", "1e-13"), ("--max-iter", "2000")],
                              ids=["--conv-tol", "--max-iter"])
     def test_rejects_flags_it_does_not_read(self, capsys, flag, value):

@@ -1,5 +1,7 @@
 import itertools
+import tracemalloc
 import warnings
+from math import factorial
 
 import numpy as np
 import pytest
@@ -18,6 +20,13 @@ from balmet import (
     multinomial_coeffs,
     permutation_action,
     sigma_predict_cpn,
+)
+from balmet.quadrature import (
+    DEFAULT_APPLY_TOL,
+    DEFAULT_NODE_CAP,
+    DEFAULT_START_NODES,
+    gauss_legendre_unit,
+    refine_by_doubling,
 )
 
 
@@ -256,12 +265,15 @@ class TestApply:
 
     @pytest.mark.parametrize("n, k", [(2, 3), (3, 2), (3, 4)])
     def test_slabs_match_whole_grid(self, monkeypatch, n, k):
-        # every level in one slab, then in slabs of the first axis whose last
-        # one is short (CP^2: 63 + 1 rows at m=64; CP^3: 7+7+7+3 at m=24)
+        # every level in one slab, then in slabs of the last axis whose last
+        # one is short.  A slab of width c holds c m^(n-2) (m + 2(k+1))
+        # values of D, H and K: 6500 of them make 9+9+6 columns at m=24 on
+        # CP^3 k=2 and 7+7+7+3 on k=4, and on CP^2 k=3 one slab at m=64,
+        # then 47+47+34 at m=128
         metric = random_cpn_metric(np.random.default_rng(11), n, k, spread=2.0)
         monkeypatch.setattr(cpn, "_GRID_BLOCK", 10**9)
         whole = apply_Tnu_cpn(metric)
-        monkeypatch.setattr(cpn, "_GRID_BLOCK", 7 * 24**2)
+        monkeypatch.setattr(cpn, "_GRID_BLOCK", 6500)
         sliced = apply_Tnu_cpn(metric)
         np.testing.assert_allclose(sliced.coeffs, whole.coeffs, rtol=1e-13)
 
@@ -289,9 +301,31 @@ class TestApply:
         for basis, reps, m in [(build_basis(2, 3), tuple(range(10)), 64),
                                (build_basis(3, 4), reps, 48),
                                (build_basis(3, 2), tuple(range(10)), 24)]:
-            denom, numer = cpn._factor_tables(basis, reps, m)
-            assert not any(f.flags.writeable for f in denom + numer)
-            assert len(denom[0]) == basis.size and len(numer[0]) == len(reps)
+            tables = cpn._factor_tables(basis, reps, m)
+            assert not any(f.flags.writeable for f in tables)
+            first, first_numer, grouped, last, numer_grouped, numer_last = tables
+            mid = m if basis.n == 3 else 1  # a middle axis only on CP^3
+            assert first.shape == first_numer.shape == (basis.k + 1, m)
+            assert grouped.shape == ((basis.k + 1) * mid, basis.size)
+            assert last.shape == (basis.size, m)
+            assert numer_grouped.shape == ((basis.k + 1) * mid, len(reps))
+            assert numer_last.shape == (len(reps), m)
+
+    def test_warm_peak_memory_at_m96(self, monkeypatch):
+        # a slab's D, H and K share the 48^3 budget (0.88 MB), so a warm
+        # application that certifies at 24/48/96 peaks at 0.84 MB
+        levels = record_levels(monkeypatch)
+        metric = metric_from_class_values(build_basis(3, 4),
+                                          (1.0, 26.079, 47.573, 8.064, 47.484))
+        apply_Tnu_cpn(metric)
+        assert levels == [24, 48, 96]
+        tracemalloc.start()
+        try:
+            apply_Tnu_cpn(metric)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.1e6
 
     def test_overflowing_image_raises_quadrature_error(self):
         # the round CP^2 k=3 metric with its vertex coefficients raised
@@ -449,6 +483,31 @@ def pointwise_duffy_cp3(metric, m):
     return 1.0 / (N * 6 * total)
 
 
+def brute_force_duffy(metric):
+    """T_nu on CP^n by the Duffy rule, with D and every numerator evaluated
+    point by point on the whole node grid (``np.meshgrid``): no grouping of
+    terms, no per-axis factors and no slabs.  On the grid u_j = t_j prod_{i<j}
+    (1 - t_i) and s = prod_i (1 - t_i); each monomial is u^alpha
+    s^(k-|alpha|), the Jacobian is prod_j prod_{i<j} (1 - t_i).  The levels
+    are certified by ``refine_by_doubling`` on the ladder of apply_Tnu_cpn."""
+    n, k, N = metric.basis.n, metric.basis.k, metric.basis.size
+
+    def evaluate(m):
+        t, omt, w = gauss_legendre_unit(m)
+        u, s, jac, weight = [], 1.0, 1.0, 1.0
+        for tj, oj, wj in zip(*(np.meshgrid(*[v] * n, indexing="ij") for v in (t, omt, w))):
+            u.append(s * tj)
+            jac, weight, s = jac * s, weight * wj, s * oj
+        mono = [s ** (k - sum(alpha)) * np.prod([uj ** aj for uj, aj in zip(u, alpha)], axis=0)
+                for alpha in metric.basis.exponents]
+        D = sum(a * x for a, x in zip(metric.coeffs, mono))
+        return np.array([np.sum(x * jac * weight / D) for x in mono])
+
+    integrals, _ = refine_by_doubling(evaluate, DEFAULT_APPLY_TOL, DEFAULT_START_NODES[n],
+                                      DEFAULT_NODE_CAP[n])
+    return 1.0 / (N * factorial(n) * integrals)
+
+
 def dblquad_cp2(metric, entries=None):
     """T_nu on CP^2 from the defining integral over (0,inf)^2 by scipy's
     adaptive rule: no homogeneous coordinates, no Duffy map, no
@@ -496,6 +555,22 @@ class TestAgainstReferences:
     def test_cp3_matches_pointwise_duffy_rule(self):
         metric = random_cpn_metric(np.random.default_rng(30), 3, 2)
         want = pointwise_duffy_cp3(metric, 96)
+        got = apply_Tnu_cpn(metric).coeffs
+        assert np.max(np.abs(got - want) / want) < 1e-13
+
+    @pytest.mark.parametrize("n, k, symmetric", [
+        (1, 5, False), (1, 4, True), (2, 3, False), (2, 3, True),
+        (3, 2, False), (3, 2, True), (3, 4, False), (3, 4, True)])
+    def test_matches_brute_force_duffy_rule(self, n, k, symmetric):
+        # the same rule summed in the plain order, CP^1 as a MultiIndexMetric
+        rng = np.random.default_rng([n, k, symmetric])
+        if symmetric:
+            basis = build_basis(n, k)
+            values = np.exp(rng.uniform(-2, 2, len(full_symmetry_orbits(basis))))
+            metric = metric_from_class_values(basis, values)
+        else:
+            metric = random_cpn_metric(rng, n, k, spread=2.0 if n < 3 else 0.4)
+        want = brute_force_duffy(metric)
         got = apply_Tnu_cpn(metric).coeffs
         assert np.max(np.abs(got - want) / want) < 1e-13
 
