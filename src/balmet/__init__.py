@@ -50,7 +50,6 @@ from .cpn import (
 from .dynamics import (
     NormalizationMode,
     Trajectory,
-    bound_series,
     build_trajectory,
     contraction_witness,
     coordinate_sigma_series,
@@ -76,7 +75,7 @@ __all__ = [
     "apply_Tnu_cpn", "build_basis", "classify_symmetry",
     "metric_from_class_values", "multinomial_coeffs", "full_symmetry_orbits",
     "permutation_action", "permutation_orbits", "sigma_predict_cpn",
-    "NormalizationMode", "Trajectory", "bound_series", "build_trajectory",
+    "NormalizationMode", "Trajectory", "build_trajectory",
     "contraction_witness", "coordinate_sigma_series", "find_balanced",
     "iterate", "sigma_closed_form", "sigma_law", "sigma_probe",
     "TABLE_IDS", "generate_table", "golden_table", "reproduce",

@@ -248,9 +248,8 @@ def _random_start(args):
     basis = build_basis(n, k)
     base = multinomial_coeffs(basis)
     if args.symmetric is True:
-        # invariant under a full-cycle coordinate permutation; a single cycle
-        # kills every linear slow mode (a product of shorter cycles does not,
-        # and such metrics still converge at the generic rate)
+        # invariant under a full cycle of the coordinates, whose group acts
+        # transitively on them, as the symmetric law needs
         pi = (1, 2, 0) if n == 2 else (1, 2, 3, 0)
         orbits = permutation_orbits(basis, [pi])
         coeffs = np.empty(basis.size)

@@ -123,10 +123,10 @@ def build_basis(n: int, k: int) -> MonomialBasis:
 
 
 @lru_cache(maxsize=None)
-def _symmetries(basis: MonomialBasis) -> tuple[tuple[tuple[int, ...], ...], np.ndarray, tuple]:
-    """The (n+1)! homogeneous-coordinate permutations in ``itertools`` order,
-    their index maps (see ``permutation_action``) as one read-only (P, N)
-    array, and the mask of the permutations that move every coordinate."""
+def _symmetries(basis: MonomialBasis) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """The (n+1)! homogeneous-coordinate permutations in ``itertools`` order
+    and their index maps (see ``permutation_action``) as one read-only (P, N)
+    array."""
     n, k = basis.n, basis.k
     perms = tuple(itertools.permutations(range(n + 1)))
     # pi moves the exponent of Z_j in (k - |alpha|, alpha) to position pi(j);
@@ -139,7 +139,7 @@ def _symmetries(basis: MonomialBasis) -> tuple[tuple[tuple[int, ...], ...], np.n
     inverse = [[pi.index(j) for j in range(1, n + 1)] for pi in perms]
     maps = position[(homog[:, inverse] * radix).sum(axis=2).T]
     maps.flags.writeable = False
-    return perms, maps, tuple(all(pi[i] != i for i in range(n + 1)) for pi in perms)
+    return perms, maps
 
 
 def permutation_action(basis: MonomialBasis, pi) -> np.ndarray:
@@ -153,7 +153,7 @@ def permutation_action(basis: MonomialBasis, pi) -> np.ndarray:
     pi = tuple(pi)
     if sorted(pi) != list(range(basis.n + 1)):
         raise ValueError(f"not a permutation of 0..{basis.n}: {pi!r}")
-    perms, maps, _ = _symmetries(basis)
+    perms, maps = _symmetries(basis)
     return maps[perms.index(pi)]
 
 
@@ -162,8 +162,9 @@ class SymmetryClassification:
     """Invariance of a metric under homogeneous-coordinate permutations.
 
     ``orbits`` partitions the basis indices under the group of all invariant
-    permutations; ``generally_symmetric`` records whether at least one
-    invariant permutation moves every coordinate.
+    permutations; ``generally_symmetric`` records whether that group acts
+    transitively on the homogeneous coordinates (an (n+1)-cycle does; on
+    CP^3 the fixed-point-free (01)(23) alone does not).
     """
 
     invariant_permutations: tuple[tuple[int, ...], ...]
@@ -217,12 +218,12 @@ def classify_symmetry(metric: MultiIndexMetric, tol: float = 1e-12) -> SymmetryC
     """
     if not tol >= 0:  # a negative or NaN tol would leave even the identity out
         raise ValueError(f"tol must be >= 0, got {tol}")
-    perms, _, moves_all = _symmetries(metric.basis)
     invariant = _invariance(metric, tol)
+    perms = tuple(itertools.compress(_symmetries(metric.basis)[0], invariant))
     return SymmetryClassification(
-        invariant_permutations=tuple(itertools.compress(perms, invariant)),
+        invariant_permutations=perms,
         orbits=_partition(metric.basis, invariant)[0],
-        generally_symmetric=any(itertools.compress(moves_all, invariant)),
+        generally_symmetric=len(_orbits_from_maps(metric.basis.n + 1, perms)) == 1,
     )
 
 
@@ -365,10 +366,10 @@ def apply_Tnu_cpn(
 def sigma_predict_cpn(n: int, k: int, generally_symmetric: bool) -> float:
     """Predicted asymptotic convergence ratio of T_nu on CP^n.
 
-    (k-1)k / ((k+n+1)(k+n+2)) for metrics invariant under a fixed-point-free
-    coordinate permutation, else k / (k+n+1).  At n = 1 these are the
-    palindromic and generic ratios on the projective line; at k = 0, where
-    T_nu is the identity, both are 0.
+    (k-1)k / ((k+n+1)(k+n+2)) for metrics whose invariant coordinate
+    permutations act transitively (``SymmetryClassification``), else
+    k / (k+n+1).  At n = 1 these are the palindromic and generic ratios on
+    the projective line; at k = 0, where T_nu is the identity, both are 0.
     """
     if n < 1 or k < 0:
         raise ValueError(f"need n >= 1 and k >= 0, got n={n}, k={k}")

@@ -42,7 +42,6 @@ __all__ = [
     "sigma_closed_form",
     "sigma_law",
     "sigma_probe",
-    "bound_series",
     "contraction_witness",
     "DEFAULT_CONV_TOL",
     "DEFAULT_MAX_ITER",
@@ -230,9 +229,7 @@ class Trajectory:
                 for g in self.iterates]
 
     def display_balanced(self):
-        if self.normalization is NormalizationMode.NONE:
-            return self.balanced
-        return _first_normalized(self.balanced)
+        return _normalize_against(self.balanced, self.balanced, self.normalization)
 
 
 def _normalize_against(g, balanced, mode: NormalizationMode):
@@ -311,30 +308,20 @@ def coordinate_sigma_series(traj: Trajectory, coord: int = 1) -> list[float]:
     return out
 
 
-def _latest_ratio(steps, err_floor: float, context: str) -> tuple[float, int]:
-    """(steps[r] / steps[r-1], r) for the latest r with steps[r] above err_floor,
-    needing 3 such step sizes; below the floor, quadrature error swamps the
-    ratios."""
-    above = [r for r, s in enumerate(steps) if s > err_floor]
-    if len(above) < 3:
-        raise ConvergenceError(f"{context}: trajectory reached the error floor too"
-                               " quickly for a ratio estimate")
-    r = above[-1]
-    return steps[r] / steps[r - 1], r
-
-
 def sigma_probe(op, g0, err_floor: float = DEFAULT_ERR_FLOOR,
                 tol: float = DEFAULT_APPLY_TOL, max_steps: int = 300) -> tuple[float, int]:
     """Estimate the asymptotic distance ratio from the step sizes of one orbit.
 
     Step sizes s_r = d(g_r, g_{r+1}) are measured under first-coefficient
     normalization (scale-free), one application each, up to the first at or
-    below err_floor or up to s_max_steps (max_steps >= 2).  So err_floor
+    below err_floor or up to s_{max_steps} (max_steps >= 2).  So err_floor
     bounds step sizes, not errors: asymptotically s_r = (1 - sigma) err_r.
     The default floor, 1e-8, gave the least worst error over the sigma-law
     configurations: smaller floors read quadrature error, larger ones stop
     before the ratio settles.  Returns (sigma_hat, r) where sigma_hat =
-    s_r / s_{r-1} is the latest ratio whose numerator exceeds err_floor.
+    s_r / s_{r-1} is the latest ratio whose numerator exceeds err_floor, and
+    raises ConvergenceError unless three step sizes do: below the floor,
+    quadrature error swamps the ratios.
     """
     _check_distance_limit("err_floor", err_floor, allow_zero=True)
     if max_steps < 2:
@@ -350,7 +337,11 @@ def sigma_probe(op, g0, err_floor: float = DEFAULT_ERR_FLOOR,
         steps.append(_shape_distance(g, h))
         if steps[-1] <= err_floor or len(steps) > max_steps:
             break
-    return _latest_ratio(steps, err_floor, f"{kind.value}, n={g0.n}, k={g0.k}")
+    r = len(steps) - 1 - (steps[-1] <= err_floor)  # every earlier step is above it
+    if r < 2:
+        raise ConvergenceError(f"{kind.value}, n={g0.n}, k={g0.k}: trajectory reached the"
+                               " error floor too quickly for a ratio estimate")
+    return steps[r] / steps[r - 1], r
 
 
 def sigma_closed_form(op, k: int, palindromic: bool = False) -> float:
@@ -377,7 +368,9 @@ def sigma_law(op, g0) -> tuple[float, str]:
 
     For a DiagonalMetric this is ``sigma_closed_form`` with regime "palindromic"
     or "non-palindromic"; for a MultiIndexMetric (T_nu only, as in ``apply_step``)
-    ``sigma_predict_cpn`` with regime "generally symmetric" or "generic".
+    ``sigma_predict_cpn`` with regime "generally symmetric" when the invariant
+    coordinate permutations act transitively (``classify_symmetry``), else
+    "generic".
     """
     g0 = as_metric(g0)
     if isinstance(g0, MultiIndexMetric):
@@ -390,26 +383,11 @@ def sigma_law(op, g0) -> tuple[float, str]:
             "palindromic" if pal else "non-palindromic")
 
 
-def bound_series(traj: Trajectory) -> list[tuple[float, float, bool]]:
-    """(err_r, bnd_r, err_r < bnd_r) per step, with the conjectured envelope
-    bnd_r = log(1 + exp(k d) sigma^r), d the initial distance."""
-    return [
-        (e, b, bool(e < b))
-        for e, b in zip(traj.err, traj.bound)
-    ]
-
-
-def contraction_witness(op, g, tol: float = DEFAULT_APPLY_TOL,
-                        err_floor: float = DEFAULT_ERR_FLOOR,
-                        conv_tol: float = DEFAULT_CONV_TOL,
-                        max_iter: int = DEFAULT_MAX_ITER) -> tuple[float, float, bool]:
+def contraction_witness(op, g) -> tuple[float, float, bool]:
     """Distances to the balanced limit before and after one application.
 
     Returns (err_0, err_1, increased).  The flag is only raised when err_1
-    exceeds the numeric floor; sub-floor wiggle at a fixed point is noise, not
-    expansion.
+    exceeds 1e-8; below that, wiggle at a fixed point is noise, not expansion.
     """
-    traj = build_trajectory(op, g, steps=1, tol=tol,
-                            conv_tol=conv_tol, max_iter=max_iter)
-    e0, e1 = traj.err[0], traj.err[1]
-    return e0, e1, bool(e1 > e0 and e1 > err_floor)
+    e0, e1 = build_trajectory(op, g, steps=1).err
+    return e0, e1, bool(e1 > e0 and e1 > 1e-8)

@@ -16,11 +16,9 @@ class QuadratureError(RuntimeError):
     refinement got before giving up.
     """
 
-    def __init__(self, message: str, best: np.ndarray | None = None,
-                 err_est: np.ndarray | None = None):
+    def __init__(self, message: str, best: np.ndarray | None = None):
         super().__init__(message)
         self.best = best
-        self.err_est = err_est
 
 
 class ConvergenceError(RuntimeError):

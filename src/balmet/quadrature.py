@@ -116,7 +116,6 @@ def refine_by_doubling(
                 f"no convergence to rel_tol={rel_tol:g} within node cap {m_cap}"
                 f" (last disagreement {np.max(err) if err is not None else np.nan:.3e})",
                 best=prev,
-                err_est=err,
             )
         cur = evaluate(m)
         if not np.isfinite(cur).all():

@@ -210,8 +210,9 @@ class TestClassifySymmetry:
             assert cls.invariant_permutations == tuple(invariant)
             assert cls.orbits == closure_orbits(metric.basis.size, maps)
             assert cls.orbits == _orbits_from_maps(metric.basis.size, maps)
-            assert cls.generally_symmetric == any(
-                all(pi[i] != i for i in range(n + 1)) for pi in invariant)
+            # transitive: the invariant permutations carry Z_0 to every Z_j
+            assert cls.generally_symmetric == (
+                closure_orbits(n + 1, invariant)[0] == tuple(range(n + 1)))
 
 
     def test_orbits_from_maps_matches_closure(self):

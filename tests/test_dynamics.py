@@ -16,7 +16,6 @@ from balmet import (
     OperatorKind,
     as_metric,
     balanced_coeffs,
-    bound_series,
     build_trajectory,
     build_basis,
     contraction_witness,
@@ -26,6 +25,7 @@ from balmet import (
     iterate,
     metric_from_class_values,
     multinomial_coeffs,
+    permutation_orbits,
     scale,
     sigma_closed_form,
     sigma_law,
@@ -309,6 +309,37 @@ class TestSigmaLaw:
             diag[0], "generally symmetric" if sym else "generic")
         assert diag[1] == ("palindromic" if sym else "non-palindromic")
 
+    @pytest.mark.parametrize("k, generators, regime", [
+        (2, [(1, 0, 3, 2)], "generic"),
+        (3, [(1, 0, 3, 2)], "generic"),
+        (2, [(1, 0, 2, 3), (0, 1, 3, 2)], "generic"),
+        (3, [(1, 0, 2, 3), (0, 1, 3, 2)], "generic"),
+        (2, [(1, 2, 3, 0)], "generally symmetric"),
+        (2, [(1, 0, 3, 2), (2, 3, 0, 1)], "generally symmetric"),
+        (4, [(1, 0, 3, 2), (2, 3, 0, 1)], "generally symmetric"),
+        (2, [(1, 2, 3, 0), (1, 0, 3, 2)], "generally symmetric"),
+        (3, [(1, 2, 0, 3), (1, 0, 3, 2)], "generally symmetric"),
+    ], ids=["(01)(23)-k2", "(01)(23)-k3", "<(01),(23)>-k2", "<(01),(23)>-k3",
+            "4-cycle-k2", "V4-k2", "V4-k4", "D4-k2", "A4-k3"])
+    def test_cp3_regime_is_transitivity(self, k, generators, regime):
+        # the symmetric law needs the invariant group to carry Z_0 to every
+        # Z_j; a fixed-point-free permutation alone is not enough
+        start = invariant_cp3_start(k, generators)
+        law = (k - 1) * k / ((k + 4) * (k + 5)) if regime != "generic" else k / (k + 4)
+        assert sigma_law("Tnu", start) == (pytest.approx(law, rel=1e-15), regime)
+        assert sigma_probe("Tnu", start)[0] == pytest.approx(law, abs=1e-6)
+
+
+def invariant_cp3_start(k, generators, seed=5):
+    """A seeded CP^3 start whose coefficients are constant on the orbits of
+    the group the coordinate permutations generate, and differ between them."""
+    basis = build_basis(3, k)
+    rng = np.random.default_rng(seed)
+    coeffs = multinomial_coeffs(basis)
+    for orbit in permutation_orbits(basis, generators):
+        coeffs[list(orbit)] *= np.exp(rng.uniform(-0.4, 0.4))
+    return MultiIndexMetric(basis, coeffs)
+
 
 def test_package_names_are_listed_by_their_module():
     # ``from balmet.<module> import *`` gives every name the package takes from it
@@ -325,19 +356,25 @@ def test_package_names_are_listed_by_their_module():
 class TestBoundSeries:
     def test_tk_bound_column(self):
         traj = build_trajectory("TK", DiagonalMetric(np.asarray(TK_START)), steps=5)
-        rows = bound_series(traj)
         want = (1.0180, 0.3027, 0.0683, 0.0140, 0.0028, 0.0006)
-        for (err, bnd, ok), w in zip(rows, want):
+        for (err, bnd), w in zip(zip(traj.err, traj.bound), want):
             assert bnd == pytest.approx(w, abs=5e-4)
-            assert ok
+            assert err < bnd
 
     def test_trajectory_from_balanced_start(self):
         g = balanced_coeffs(BalancedFamily(4, 2.0, 1.3))
         traj = build_trajectory("TK", g, steps=3)
-        for err, bnd, ok in bound_series(traj):
+        for err, bnd in zip(traj.err, traj.bound):
             assert err < 1e-9
             assert bnd > 0
-            assert ok
+            assert err < bnd
+
+    def test_pair_swap_start_stays_inside_the_envelope(self):
+        # (01)(23) moves every coordinate but is not transitive: the orbit
+        # contracts at the generic rate, and the envelope must use it
+        traj = build_trajectory("Tnu", invariant_cp3_start(2, [(1, 0, 3, 2)]), steps=12)
+        for err, bnd in zip(traj.err, traj.bound):
+            assert err < bnd
 
     def test_sigma_tilde_are_error_ratios(self):
         traj = build_trajectory("TK", DiagonalMetric(np.asarray(TK_START)), steps=4)

@@ -26,6 +26,7 @@ from balmet import (
     multinomial_coeffs,
     permutation_orbits,
     sigma_closed_form,
+    sigma_law,
     sigma_predict_cpn,
 )
 
@@ -133,6 +134,30 @@ def test_tnu_cpn_laws_are_eigenvalues(n, k):
     sym = spectrum(restricted(J, permutation_orbits(build_basis(n, k), [cycle])))
     assert sym[0] == pytest.approx(1.0, abs=1e-12)
     assert sym[1] == pytest.approx(sigma_predict_cpn(n, k, True), abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("generators", [
+    [(1, 0, 3, 2)],
+    [(1, 0, 2, 3), (0, 1, 3, 2)],
+    [(1, 2, 3, 0)],
+    [(1, 0, 3, 2), (2, 3, 0, 1)],
+    [(1, 2, 3, 0), (1, 0, 3, 2)],
+    [(1, 2, 0, 3), (1, 0, 3, 2)],
+], ids=["(01)(23)", "<(01),(23)>", "4-cycle", "V4", "D4", "A4"])
+def test_tnu_cp3_law_of_an_invariant_group(k, generators):
+    # a start constant on each orbit of the group, with a different value on
+    # each, contracts at the next eigenvalue of J on the vectors it fixes: the
+    # generic law for the first two groups, fixed-point-free but not
+    # transitive, and the symmetric law for the transitive rest
+    basis = build_basis(3, k)
+    orbits = permutation_orbits(basis, generators)
+    coeffs = multinomial_coeffs(basis)
+    for i, orbit in enumerate(orbits):
+        coeffs[list(orbit)] *= 1 + i / 10
+    sym = spectrum(restricted(jacobian_tnu_cpn(3, k), orbits))
+    assert sym[1] == pytest.approx(sigma_law("Tnu", MultiIndexMetric(basis, coeffs))[0],
+                                   abs=1e-12)
 
 
 @pytest.mark.parametrize("name, J, apply, start", [
