@@ -82,7 +82,8 @@ _SUPPORTED_N = (1, 2, 3)
 # k+1 values per point of the trailing axes each.  Finer levels take more,
 # narrower slabs, so an application's peak memory does not depend on the
 # level it certifies at (a whole 96^3 grid and its reciprocal take 14 MB).
-# On CP^3 at k=4 the 24-node level is one slab, the 48-node level two.
+# On CP^3 at k=4 the 12- and 24-node levels are one slab each, the 48-node
+# level two.
 _GRID_BLOCK = 48 ** 3
 
 
@@ -192,6 +193,8 @@ def _invariance(metric: MultiIndexMetric, tol: float) -> tuple[bool, ...]:
     coefficients invariant to relative tolerance tol."""
     a = metric.coeffs
     images = a[_symmetries(metric.basis)[1]]
+    if tol == 0:  # finite positive coefficients: the same test, in one comparison
+        return tuple((images == a).all(axis=1).tolist())
     return tuple((np.abs(images - a) <= tol * np.maximum(images, a)).all(axis=1).tolist())
 
 
@@ -325,7 +328,7 @@ def apply_Tnu_cpn(
     basis = metric.basis
     n, k = basis.n, basis.k
     check_dimension(n)
-    amax = float(np.max(metric.coeffs))
+    amax = max(metric.coeffs.tolist())  # few: Python's max beats numpy's reduction
     ah = metric.coeffs / amax
     # orbits under the permutations that fix the coefficients bitwise: exact
     # equality means replication introduces no projection, and keeps iterates

@@ -37,13 +37,17 @@ __all__ = [
 ]
 
 # Defaults of the operator maps: starting nodes per axis and the per-axis cap
-# (by dimension), and the relative tolerance of one application.  CP^3 starts
-# at 24, so its ladder is 24, 48, 96, 192: a typical application certifies
-# from the 24/48 pair instead of paying for a 96^3 grid, and on a seeded
-# corpus of wide CP^3 starts the same inputs fail as from 48.  A CP^1 start of
-# 32 measured slower: it adds a call per application, and calls cost more
-# than nodes there.
-DEFAULT_START_NODES = {1: 64, 2: 64, 3: 24}
+# (by dimension), and the relative tolerance of one application.  Each start
+# is its cap divided by a power of two, so lowering a start only adds rungs
+# below the old one: the top rung, and with it the set of inputs that raise,
+# stays the same.  CP^3 runs 12, 24, 48, 96, 192 and CP^2 32 up to 512, so a
+# typical application certifies from the 12/24 or 32/64 pair instead of
+# paying for a 48^3 or 128^2 grid; on a seeded corpus of wide starts the same
+# inputs raise as from one rung higher.  CP^1 stays at 64: its fused 64/128
+# first pair makes a level almost free there, and a start of 32 measured
+# slower, since it adds a call per application and calls cost more than
+# nodes there.
+DEFAULT_START_NODES = {1: 64, 2: 32, 3: 12}
 DEFAULT_NODE_CAP = {1: 2048, 2: 512, 3: 192}
 DEFAULT_APPLY_TOL = 1e-11
 

@@ -258,23 +258,34 @@ class TestApply:
         for idx, val in want.items():
             assert norm[idx] == pytest.approx(val, abs=1e-4)
 
-    def test_cp3_ladder_starts_at_24(self, monkeypatch):
-        # the cpn-k4 start certifies from the 24/48 pair, without a 96^3 grid
+    def test_cp3_ladder_starts_at_12(self, monkeypatch):
+        # the cpn-k4 start needs the 24/48 pair; its first iterate, like every
+        # later one in the table, certifies from the 12/24 pair, without a
+        # 48^3 grid
         levels = record_levels(monkeypatch)
-        apply_Tnu_cpn(metric_from_class_values(build_basis(3, 4), (1, 20, 30, 40, 50)))
-        assert levels == [24, 48]
+        image = apply_Tnu_cpn(metric_from_class_values(build_basis(3, 4), (1, 20, 30, 40, 50)))
+        assert levels == [12, 24, 48]
+        levels.clear()
+        apply_Tnu_cpn(image)
+        assert levels == [12, 24]
+
+    def test_cp2_ladder_starts_at_32(self, monkeypatch):
+        # a mildly scaled generic start certifies from the 32/64 pair
+        levels = record_levels(monkeypatch)
+        apply_Tnu_cpn(random_cpn_metric(np.random.default_rng(3), 2, 3, spread=0.4))
+        assert levels == [32, 64]
 
     @pytest.mark.parametrize("n, k", [(2, 3), (3, 2), (3, 4)])
     def test_slabs_match_whole_grid(self, monkeypatch, n, k):
         # every level in one slab, then in slabs of the last axis whose last
         # one is short.  A slab of width c holds c m^(n-2) (m + 2(k+1))
-        # values of D, H and K: 6500 of them make 9+9+6 columns at m=24 on
-        # CP^3 k=2 and 7+7+7+3 on k=4, and on CP^2 k=3 one slab at m=64,
-        # then 47+47+34 at m=128
+        # values of D, H and K: 4000 of them make 5+5+5+5+4 columns at m=24
+        # on CP^3 k=2 and 4+4+4+4+4+4 on k=4, and on CP^2 k=3 one slab at
+        # m=32, then 55+9 at m=64
         metric = random_cpn_metric(np.random.default_rng(11), n, k, spread=2.0)
         monkeypatch.setattr(cpn, "_GRID_BLOCK", 10**9)
         whole = apply_Tnu_cpn(metric)
-        monkeypatch.setattr(cpn, "_GRID_BLOCK", 6500)
+        monkeypatch.setattr(cpn, "_GRID_BLOCK", 4000)
         sliced = apply_Tnu_cpn(metric)
         np.testing.assert_allclose(sliced.coeffs, whole.coeffs, rtol=1e-13)
 
@@ -314,12 +325,12 @@ class TestApply:
 
     def test_warm_peak_memory_at_m96(self, monkeypatch):
         # a slab's D, H and K share the 48^3 budget (0.88 MB), so a warm
-        # application that certifies at 24/48/96 peaks at 0.84 MB
+        # application that certifies at 12/24/48/96 peaks at 0.84 MB
         levels = record_levels(monkeypatch)
         metric = metric_from_class_values(build_basis(3, 4),
                                           (1.0, 26.079, 47.573, 8.064, 47.484))
         apply_Tnu_cpn(metric)
-        assert levels == [24, 48, 96]
+        assert levels == [12, 24, 48, 96]
         tracemalloc.start()
         try:
             apply_Tnu_cpn(metric)
@@ -544,12 +555,17 @@ def dblquad_cp2(metric, entries=None):
 # drawn uniformly from [-spread, spread].  The seed is 0 except on CP^2 at
 # k=4, whose seed-0 starts all certify below 512 nodes and so cannot tell a
 # weakened certificate apart.  The starts in CORPUS_RAISES raise
-# QuadratureError at the node cap, from the 24-node CP^3 start and from the
-# 48-node one alike; every other start must certify and match its
-# independent reference.
+# QuadratureError at the node cap, from the 12-node CP^3 start and the
+# 32-node CP^2 one as from one rung higher (the caps are the same); every
+# other start must certify and match its independent reference.  Those in
+# CORPUS_FIRST_PAIR certify from the first pair of the ladder (12/24 on CP^3,
+# 32/64 on CP^2), so the references check that pair too.
 CORPUS_SPREADS = (0.5, 2, 4, 6)
 CORPUS_SEED = {(2, 4): 5}
 CORPUS_RAISES = {(3, 1, 6), (3, 3, 6), (3, 4, 4), (3, 4, 6), (2, 4, 6), (2, 5, 6)}
+CORPUS_FIRST_PAIR = {(3, 1, 0.5), (3, 1, 2), (3, 2, 0.5), (3, 3, 0.5),
+                     (2, 2, 0.5), (2, 2, 2), (2, 3, 0.5), (2, 3, 2), (2, 3, 4),
+                     (2, 4, 0.5), (2, 5, 0.5), (2, 5, 2)}
 
 
 class TestAgainstReferences:
@@ -599,6 +615,8 @@ class TestAgainstReferences:
                     apply_Tnu_cpn(metric)
                 continue
             got = apply_Tnu_cpn(metric).coeffs
+            first_pair = [12, 24] if n == 3 else [32, 64]
+            assert (levels == first_pair) == ((n, k, spread) in CORPUS_FIRST_PAIR), levels
             if n == 3:
                 want = pointwise_duffy_cp3(metric, min(2 * levels[-1], 192))
             else:
