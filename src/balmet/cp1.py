@@ -25,9 +25,10 @@ dens = _rows(k, m) @ (w0 f(Q)), for T with f = S/Q^3, S = c @ _rows(2k-2, m)
 and c_s = sum_{i+j-1=s, i>j} a_i a_j (i-j)^2.  Only they are certified: each
 numerator is a @ dens, and is taken as 1 for T_nu, k for T (rho = (x P'/P)'
 has mass k, and a @ dens is checked against it) and a @ dens for T_K.
-An application certifies from the 64/128 pair at least, so its first call
-forms both levels at once: one Q and one f over the tables of the two levels
-side by side (``pair=True``), then one product per level.
+An application certifies from the first pair of its ladder (64/128) at
+least, so its first call forms both levels at once: one Q and one f over the
+tables of the two levels side by side (``pair=128``), then one product per
+level.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ from .errors import MetricError, QuadratureError
 from .metrics import DiagonalMetric, as_cp1_metric
 from .quadrature import (
     DEFAULT_APPLY_TOL,
-    DEFAULT_NODE_CAP,
-    DEFAULT_START_NODES,
+    LADDERS,
     gauss_legendre_unit,
     refine_by_doubling,
 )
@@ -91,13 +91,14 @@ class OperatorKind(enum.Enum):
 
 
 @lru_cache(maxsize=128)
-def _rows(d: int, m: int, pair: bool = False) -> np.ndarray:
+def _rows(d: int, m: int, pair: int = 0) -> np.ndarray:
     """Rows t^(3j) (1-t)^(3(d-j)), j = 0..d, at the m nodes (read-only).
-    With pair, the rows at m and at 2m nodes side by side.  A cp1-sweep
-    benchmark run builds 65 of these tables, pairs included; an LRU cache
-    smaller than a cyclic working set misses on every call."""
+    With pair, the rows at m and at pair nodes side by side.  A cp1-sweep
+    benchmark run builds 84 of these tables, pairs and the rungs its
+    known-limit starts walk to the cap included; an LRU cache smaller than a
+    cyclic working set misses on every call."""
     if pair:
-        rows = np.hstack((_rows(d, m, False), _rows(d, 2 * m, False)))
+        rows = np.hstack((_rows(d, m), _rows(d, pair)))
     else:
         t, omt, _ = gauss_legendre_unit(m)
         j = np.arange(d + 1)[:, None]
@@ -107,11 +108,11 @@ def _rows(d: int, m: int, pair: bool = False) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _node_weights(m: int, pair: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _node_weights(m: int, pair: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Weight row w 3t^2 (1-t)^2 and T_nu factor at the m nodes (read-only).
-    With pair, those at m and at 2m nodes side by side."""
+    With pair, those at m and at pair nodes side by side."""
     if pair:
-        w0, nu = map(np.hstack, zip(_node_weights(m, False), _node_weights(2 * m, False)))
+        w0, nu = map(np.hstack, zip(_node_weights(m), _node_weights(pair)))
     else:
         t, omt, w = gauss_legendre_unit(m)
         w0, nu = w * (3.0 * t**2 * omt**2), 1.0 / (t**_P + omt**_P) ** 2
@@ -143,16 +144,16 @@ def _apply_family(g, kind: OperatorKind, tol: float) -> DiagonalMetric:
     amax = max(coeffs)
     ah = g.coeffs / amax
     c = _density_coeffs(ah) if kind is OperatorKind.T else None
-    m0 = DEFAULT_START_NODES[1]
+    ladder = LADDERS[1]
     next_level = {}
 
     def evaluate(m: int) -> np.ndarray:
-        """dens_0, ..., dens_k with m nodes.  The first call, at m0, forms
-        the levels m0 and 2 m0 from side-by-side tables and hands 2 m0 back
-        on the next call."""
+        """dens_0, ..., dens_k with m nodes.  The first call, at ladder[0],
+        forms the levels ladder[0] and ladder[1] from side-by-side tables and
+        hands ladder[1] back on the next call."""
         if m in next_level:
             return next_level.pop(m)
-        pair = m == m0
+        pair = ladder[1] if m == ladder[0] else 0
         w0, nu = _node_weights(m, pair)
         rows = _rows(k, m, pair)
         Q = ah @ rows
@@ -165,7 +166,7 @@ def _apply_family(g, kind: OperatorKind, tol: float) -> DiagonalMetric:
         x = w0 * f
         if not pair:
             return rows @ x
-        next_level[2 * m] = rows[:, m:] @ x[m:]
+        next_level[pair] = rows[:, m:] @ x[m:]
         return rows[:, :m] @ x[:m]
 
     try:
@@ -173,10 +174,10 @@ def _apply_family(g, kind: OperatorKind, tol: float) -> DiagonalMetric:
         # floating-point range.  Below, Q may underflow: numpy raises there
         # instead of warning (errstate costs ~4 us an application, so only there)
         if min(coeffs) / amax * 0.125 ** k >= 1e-90:
-            dens, _ = refine_by_doubling(evaluate, tol, m0, DEFAULT_NODE_CAP[1])
+            dens, _ = refine_by_doubling(evaluate, tol, ladder)
         else:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                dens, _ = refine_by_doubling(evaluate, tol, m0, DEFAULT_NODE_CAP[1])
+                dens, _ = refine_by_doubling(evaluate, tol, ladder)
         # Int dx/(1+x)^2 = 1, Int rho dx = k as rho = (x P'/P)', Int P^(-2/k) dx = a @ dens
         mass = float(ah @ dens)
         if kind is OperatorKind.T and abs(mass / k - 1.0) > tol:  # a peak of rho out of reach

@@ -53,8 +53,7 @@ from .errors import MetricError, QuadratureError
 from .metrics import MultiIndexMetric
 from .quadrature import (
     DEFAULT_APPLY_TOL,
-    DEFAULT_NODE_CAP,
-    DEFAULT_START_NODES,
+    LADDERS,
     gauss_legendre_unit,
     refine_by_doubling,
 )
@@ -82,8 +81,8 @@ _SUPPORTED_N = (1, 2, 3)
 # k+1 values per point of the trailing axes each.  Finer levels take more,
 # narrower slabs, so an application's peak memory does not depend on the
 # level it certifies at (a whole 96^3 grid and its reciprocal take 14 MB).
-# On CP^3 at k=4 the 12- and 24-node levels are one slab each, the 48-node
-# level two.
+# On CP^3 at k=4 the rungs up to 40 nodes are one slab each, 60 three, 90
+# eight, 135 twenty-seven and the cap, 192, ninety-six.
 _GRID_BLOCK = 48 ** 3
 
 
@@ -357,8 +356,7 @@ def apply_Tnu_cpn(
         return (Y * numer_grouped).sum(axis=0)
 
     try:
-        integrals, _ = refine_by_doubling(evaluate, tol, DEFAULT_START_NODES[n],
-                                          DEFAULT_NODE_CAP[n])
+        integrals, _ = refine_by_doubling(evaluate, tol, LADDERS[n])
         return MultiIndexMetric.image(amax, basis.size * factorial(n) * integrals[owner],
                                       basis=basis)
     except QuadratureError as exc:

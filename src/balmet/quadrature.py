@@ -1,4 +1,4 @@
-"""Deterministic Gauss-Legendre quadrature on (0,1), certified by doubling.
+"""Deterministic Gauss-Legendre quadrature on (0,1), certified on a node ladder.
 
 This is the one quadrature engine of the package: ``gauss_legendre_unit``
 builds the rule and ``refine_by_doubling`` certifies a batch of integrals.
@@ -12,10 +12,10 @@ matters here: the operator integrands take high powers of both t and 1-t, and
 forming 1-t by subtraction caps attainable accuracy near 1e-10 for
 ill-scaled metrics.
 
-Accuracy is certified a posteriori by doubling the node count until two
-consecutive rules agree to the requested relative tolerance.  All reductions
-use numpy's pairwise summation over a fixed node order, so results are
-bit-reproducible across runs and thread counts.
+Accuracy is certified a posteriori by walking a ladder of node counts until
+two consecutive rules agree to the requested relative tolerance.  All
+reductions use numpy's pairwise summation over a fixed node order, so results
+are bit-reproducible across runs and thread counts.
 """
 
 from __future__ import annotations
@@ -31,25 +31,23 @@ __all__ = [
     "gauss_legendre_unit",
     "integrate_semi_infinite",
     "refine_by_doubling",
-    "DEFAULT_START_NODES",
-    "DEFAULT_NODE_CAP",
+    "LADDERS",
     "DEFAULT_APPLY_TOL",
 ]
 
-# Defaults of the operator maps: starting nodes per axis and the per-axis cap
-# (by dimension), and the relative tolerance of one application.  Each start
-# is its cap divided by a power of two, so lowering a start only adds rungs
-# below the old one: the top rung, and with it the set of inputs that raise,
-# stays the same.  CP^3 runs 12, 24, 48, 96, 192 and CP^2 32 up to 512, so a
-# typical application certifies from the 12/24 or 32/64 pair instead of
-# paying for a 48^3 or 128^2 grid; on a seeded corpus of wide starts the same
-# inputs raise as from one rung higher.  CP^1 stays at 64: its fused 64/128
-# first pair makes a level almost free there, and a start of 32 measured
-# slower, since it adds a call per application and calls cost more than
-# nodes there.
-DEFAULT_START_NODES = {1: 64, 2: 32, 3: 12}
-DEFAULT_NODE_CAP = {1: 2048, 2: 512, 3: 192}
-DEFAULT_APPLY_TOL = 1e-11
+# Node counts per axis that the operator maps walk, by dimension; the last
+# rung is the cap.  Gauss-Legendre rules are not nested, so doubling would
+# reuse no node: it would only let the certified level overshoot the first
+# accurate one by up to 4x, where a CP^n level costs m^n.  Two rules a step of
+# about 1.5 apart still bound the coarser one's error (under geometric
+# convergence the finer one is better still), so they certify as
+# conservatively, at no more than about 2.25x the first accurate level.  CP^1
+# takes 64/128 as one fused first pair: a level is almost free there, and
+# calls cost more than nodes.
+LADDERS = {1: (64, 128, 192, 288, 432, 648, 972, 1458, 2048),
+           2: (32, 48, 72, 108, 162, 243, 364, 512),
+           3: (12, 18, 27, 40, 60, 90, 135, 192)}
+DEFAULT_APPLY_TOL = 1e-11  # relative tolerance of one operator application
 
 _TINY = np.finfo(float).tiny
 
@@ -97,45 +95,43 @@ def gauss_legendre_unit(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def refine_by_doubling(
     evaluate: Callable[[int], np.ndarray],
     rel_tol: float,
-    m0: int,
-    m_cap: int,
+    ladder: tuple[int, ...],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Double the node count until two consecutive evaluations agree.
+    """Walk the node counts of ``ladder`` until two consecutive evaluations agree.
 
     ``evaluate(m)`` must return a 1-d float array of integrals with m nodes
-    per axis (used as is).  Returns (values, disagreement) from the finest
-    level; raises QuadratureError carrying the best estimate at the cap.
+    per axis (used as is).  Returns (values, disagreement) from the finer
+    level; raises QuadratureError carrying the best estimate at the last rung.
+    A NaN or an infinity never certifies, so finiteness is checked only once
+    two levels disagree; the error then names the first non-finite rung.
     """
     if not 0.0 < rel_tol < 1.0:
         raise ValueError("rel_tol must lie in (0, 1)")
-    prev = evaluate(m0)
-    if not np.isfinite(prev).all():
-        raise QuadratureError(f"non-finite integral estimate at m={m0}")
-    m = m0
+    prev = evaluate(ladder[0])
     err = None
-    while True:
-        m *= 2
-        if m > m_cap:
-            raise QuadratureError(
-                f"no convergence to rel_tol={rel_tol:g} within node cap {m_cap}"
-                f" (last disagreement {np.max(err) if err is not None else np.nan:.3e})",
-                best=prev,
-            )
+    for m in ladder[1:]:
         cur = evaluate(m)
-        if not np.isfinite(cur).all():
-            raise QuadratureError(f"non-finite integral estimate at m={m}", best=prev)
         err = np.abs(cur - prev) / np.maximum(np.abs(cur), _TINY)
         if (err <= rel_tol).all():
             return cur, err
+        if m == ladder[1] and not np.isfinite(prev).all():
+            raise QuadratureError(f"non-finite integral estimate at m={ladder[0]}")
+        if not np.isfinite(cur).all():
+            raise QuadratureError(f"non-finite integral estimate at m={m}", best=prev)
         prev = cur
+    raise QuadratureError(
+        f"no convergence to rel_tol={rel_tol:g} within node cap {ladder[-1]}"
+        f" (last disagreement {np.max(err) if err is not None else np.nan:.3e})",
+        best=prev,
+    )
 
 
 def integrate_semi_infinite(f: Callable, rel_tol: float = 1e-11) -> tuple[float, float]:
     """Integrate f over (0,infinity) to a certified relative tolerance.
 
     The half line is mapped onto (0,1) by x = t/(1-t) and integrated with
-    ``gauss_legendre_unit`` nodes, certified by ``refine_by_doubling`` from
-    the CP^1 start and cap.  f receives a 1-d array of x values and must
+    ``gauss_legendre_unit`` nodes, certified by ``refine_by_doubling`` on
+    the CP^1 ladder.  f receives a 1-d array of x values and must
     return one value per point.  Returns (value, err_est) where err_est is the
     relative disagreement of the final two node counts.  The integrand must
     decay algebraically; it is evaluated at mapped Gauss-Legendre nodes, never
@@ -152,6 +148,5 @@ def integrate_semi_infinite(f: Callable, rel_tol: float = 1e-11) -> tuple[float,
             raise QuadratureError("integrand returned non-finite values")
         return np.array([np.sum(vals * (w / omt**2))])
 
-    values, err = refine_by_doubling(evaluate, rel_tol, DEFAULT_START_NODES[1],
-                                     DEFAULT_NODE_CAP[1])
+    values, err = refine_by_doubling(evaluate, rel_tol, LADDERS[1])
     return float(values[0]), float(err[0])

@@ -216,6 +216,15 @@ class TestValidationErrors:
         assert err.startswith("numerical failure (step 0): T, n=1, k=2: no convergence")
         assert err.count("n=1") == 1
 
+    def test_tnu_spread_1e13_is_a_numerical_failure(self, capsys):
+        # one decade past the widest CP^1 spread the ladder certifies (1e12)
+        code, out, err = run_cli(capsys, "iterate", "--op", "Tnu", "--k", "2",
+                                 "--coeffs", "1,1e13,1", "--steps", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("numerical failure (step 0): Tnu, n=1, k=2: no convergence"
+                              " to rel_tol=1e-11 within node cap 2048")
+
     def test_missed_density_mass_is_a_numerical_failure(self, capsys):
         # both rule levels miss the same peaks of rho and agree; the mass does not
         code, out, err = run_cli(capsys, "iterate", "--op", "T", "--k", "4",

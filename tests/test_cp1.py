@@ -26,6 +26,7 @@ from balmet import (
     scale,
     trace_relation,
 )
+from balmet.quadrature import LADDERS
 
 OPS = {
     "T": apply_T,
@@ -290,6 +291,22 @@ def test_wide_spread_raises_or_matches_reference(op):
     assert _certified_match_reference(op, (8, 60), even=op == "TK") >= 4
 
 
+def test_tnu_spread_1e12_matches_mpmath():
+    # the CP^1 ladder reaches 2048 nodes in steps of about 1.5: (1, 1e12, 1)
+    # certifies there (doubling to the same cap did not), within 1.0e-14 of
+    # mpmath's quad split at the Newton-polygon corners 1e-12 and 1e12
+    import mpmath
+
+    got = apply_Tnu((1.0, 1e12, 1.0)).coeffs
+    with mpmath.workdps(30):
+        b = mpmath.mpf(10) ** 12
+        corners = [0, 1 / b, 1, b, mpmath.inf]
+        want = np.array([float(1 / (3 * mpmath.quad(
+            lambda x: x**q / ((1 + x) ** 2 * (1 + b * x + x**2)), corners)))
+            for q in range(3)])
+    assert np.max(np.abs(got - want) / want) < 1e-12
+
+
 def test_cached_tables_read_only_and_cold_equals_warm():
     from balmet import cp1
 
@@ -301,9 +318,9 @@ def test_cached_tables_read_only_and_cold_equals_warm():
         cold = OPS[op](g).coeffs
         assert np.array_equal(OPS[op](g).coeffs, cold)
     assert not cp1._rows(6, 64).flags.writeable
-    assert not cp1._rows(6, 64, True).flags.writeable
+    assert not cp1._rows(6, 64, 128).flags.writeable
     assert not any(a.flags.writeable for a in cp1._node_weights(64))
-    assert not any(a.flags.writeable for a in cp1._node_weights(64, True))
+    assert not any(a.flags.writeable for a in cp1._node_weights(64, 128))
     assert not any(a.flags.writeable for a in cp1._pairs(7))
 
 
@@ -314,13 +331,13 @@ def _separate_level(op, a, m):
 
     k = a.size - 1
     ah = a / a.max()
-    w0, nu = cp1._node_weights(m, False)
-    rows = cp1._rows(k, m, False)
+    w0, nu = cp1._node_weights(m)
+    rows = cp1._rows(k, m)
     Q = ah @ rows
     if op == "Tnu":
         f = nu / Q
     elif op == "T":
-        f = cp1._density_coeffs(ah) @ cp1._rows(2 * k - 2, m, False) / Q / Q / Q
+        f = cp1._density_coeffs(ah) @ cp1._rows(2 * k - 2, m) / Q / Q / Q
     else:
         f = np.exp((-2.0 / k) * np.log(Q)) / Q
     return rows @ (w0 * f)
@@ -353,7 +370,7 @@ def test_fused_first_pair_matches_separate_levels(monkeypatch):
                     OPS[op](a)
                 except QuadratureError:
                     pass
-                assert [m for m, _ in levels[:2]] == [64, 128]
+                assert [m for m, _ in levels[:2]] == list(LADDERS[1][:2])
                 for m, dens in levels:
                     assert np.array_equal(dens, _separate_level(op, a, m)), (op, k, spread, m)
                 top = max(top, levels[-1][0])

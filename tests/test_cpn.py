@@ -23,8 +23,7 @@ from balmet import (
 )
 from balmet.quadrature import (
     DEFAULT_APPLY_TOL,
-    DEFAULT_NODE_CAP,
-    DEFAULT_START_NODES,
+    LADDERS,
     gauss_legendre_unit,
     refine_by_doubling,
 )
@@ -259,33 +258,33 @@ class TestApply:
             assert norm[idx] == pytest.approx(val, abs=1e-4)
 
     def test_cp3_ladder_starts_at_12(self, monkeypatch):
-        # the cpn-k4 start needs the 24/48 pair; its first iterate, like every
-        # later one in the table, certifies from the 12/24 pair, without a
-        # 48^3 grid
+        # the cpn-k4 start needs the 27/40 pair; its first iterate, like every
+        # later one in the table, certifies from the first pair (12/18)
         levels = record_levels(monkeypatch)
         image = apply_Tnu_cpn(metric_from_class_values(build_basis(3, 4), (1, 20, 30, 40, 50)))
-        assert levels == [12, 24, 48]
+        assert levels == [12, 18, 27, 40]
         levels.clear()
         apply_Tnu_cpn(image)
-        assert levels == [12, 24]
+        assert levels == list(LADDERS[3][:2])
 
     def test_cp2_ladder_starts_at_32(self, monkeypatch):
-        # a mildly scaled generic start certifies from the 32/64 pair
+        # a mildly scaled generic start certifies from the first pair (32/48)
         levels = record_levels(monkeypatch)
         apply_Tnu_cpn(random_cpn_metric(np.random.default_rng(3), 2, 3, spread=0.4))
-        assert levels == [32, 64]
+        assert levels == list(LADDERS[2][:2])
 
     @pytest.mark.parametrize("n, k", [(2, 3), (3, 2), (3, 4)])
     def test_slabs_match_whole_grid(self, monkeypatch, n, k):
-        # every level in one slab, then in slabs of the last axis whose last
-        # one is short.  A slab of width c holds c m^(n-2) (m + 2(k+1))
-        # values of D, H and K: 4000 of them make 5+5+5+5+4 columns at m=24
-        # on CP^3 k=2 and 4+4+4+4+4+4 on k=4, and on CP^2 k=3 one slab at
-        # m=32, then 55+9 at m=64
+        # every level in one slab, then in slabs of the last axis, the last
+        # one short on the lower rungs.  A slab of width c holds c m^(n-2)
+        # (m + 2(k+1)) values of D, H and K: 2500 of them make 5+5+5+3
+        # columns at m=18 on CP^3 k=2 and 4+4+4+4+2 on k=4 (both certify at
+        # m=60, in slabs of one column), and on CP^2 k=3 one slab at m=32,
+        # then 44+4 at m=48
         metric = random_cpn_metric(np.random.default_rng(11), n, k, spread=2.0)
         monkeypatch.setattr(cpn, "_GRID_BLOCK", 10**9)
         whole = apply_Tnu_cpn(metric)
-        monkeypatch.setattr(cpn, "_GRID_BLOCK", 4000)
+        monkeypatch.setattr(cpn, "_GRID_BLOCK", 2500)
         sliced = apply_Tnu_cpn(metric)
         np.testing.assert_allclose(sliced.coeffs, whole.coeffs, rtol=1e-13)
 
@@ -323,14 +322,15 @@ class TestApply:
             assert numer_grouped.shape == ((basis.k + 1) * mid, len(reps))
             assert numer_last.shape == (len(reps), m)
 
-    def test_warm_peak_memory_at_m96(self, monkeypatch):
+    def test_warm_peak_memory_at_m90(self, monkeypatch):
         # a slab's D, H and K share the 48^3 budget (0.88 MB), so a warm
-        # application that certifies at 12/24/48/96 peaks at 0.84 MB
+        # application that certifies at 60/90, a level of 8 slabs, peaks at
+        # 0.89 MB
         levels = record_levels(monkeypatch)
         metric = metric_from_class_values(build_basis(3, 4),
-                                          (1.0, 26.079, 47.573, 8.064, 47.484))
+                                          (1.0, 0.634, 0.153, 0.251, 294.187))
         apply_Tnu_cpn(metric)
-        assert levels == [12, 24, 48, 96]
+        assert levels == list(LADDERS[3][:6])
         tracemalloc.start()
         try:
             apply_Tnu_cpn(metric)
@@ -515,8 +515,7 @@ def brute_force_duffy(metric):
         D = sum(a * x for a, x in zip(metric.coeffs, mono))
         return np.array([np.sum(x * jac * weight / D) for x in mono])
 
-    integrals, _ = refine_by_doubling(evaluate, DEFAULT_APPLY_TOL, DEFAULT_START_NODES[n],
-                                      DEFAULT_NODE_CAP[n])
+    integrals, _ = refine_by_doubling(evaluate, DEFAULT_APPLY_TOL, LADDERS[n])
     return 1.0 / (N * factorial(n) * integrals)
 
 
@@ -555,14 +554,13 @@ def dblquad_cp2(metric, entries=None):
 # drawn uniformly from [-spread, spread].  The seed is 0 except on CP^2 at
 # k=4, whose seed-0 starts all certify below 512 nodes and so cannot tell a
 # weakened certificate apart.  The starts in CORPUS_RAISES raise
-# QuadratureError at the node cap, from the 12-node CP^3 start and the
-# 32-node CP^2 one as from one rung higher (the caps are the same); every
-# other start must certify and match its independent reference.  Those in
-# CORPUS_FIRST_PAIR certify from the first pair of the ladder (12/24 on CP^3,
-# 32/64 on CP^2), so the references check that pair too.
+# QuadratureError at the node cap, the last rung of the ladder; every other
+# start must certify and match its independent reference.  Those in
+# CORPUS_FIRST_PAIR certify from the first pair of the ladder (12/18 on CP^3,
+# 32/48 on CP^2), so the references check that pair too.
 CORPUS_SPREADS = (0.5, 2, 4, 6)
 CORPUS_SEED = {(2, 4): 5}
-CORPUS_RAISES = {(3, 1, 6), (3, 3, 6), (3, 4, 4), (3, 4, 6), (2, 4, 6), (2, 5, 6)}
+CORPUS_RAISES = {(3, 3, 6), (3, 4, 4), (3, 4, 6), (2, 4, 6), (2, 5, 6)}
 CORPUS_FIRST_PAIR = {(3, 1, 0.5), (3, 1, 2), (3, 2, 0.5), (3, 3, 0.5),
                      (2, 2, 0.5), (2, 2, 2), (2, 3, 0.5), (2, 3, 2), (2, 3, 4),
                      (2, 4, 0.5), (2, 5, 0.5), (2, 5, 2)}
@@ -602,9 +600,10 @@ class TestAgainstReferences:
                                      (2, 2), (2, 3), (2, 4), (2, 5)])
     def test_corpus_raises_or_matches_reference(self, monkeypatch, n, k):
         # CP^3 against the pointwise Duffy rule on a grid twice as fine as the
-        # certified level (192 at most, the cap).  CP^2 against dblquad at the
-        # vertices 1, z1^k, z2^k, whose integrals sit in the corners of the
-        # simplex: dblquad costs 0.05-0.2 s per integral here
+        # certified level (384 nodes for (3, 1, 6), which certifies at the
+        # cap).  CP^2 against dblquad at the vertices 1, z1^k, z2^k, whose
+        # integrals sit in the corners of the simplex: dblquad costs
+        # 0.05-0.2 s per integral here
         levels = record_levels(monkeypatch)
         for spread in CORPUS_SPREADS:
             seed = [n, k, round(10 * spread), CORPUS_SEED.get((n, k), 0)]
@@ -615,12 +614,22 @@ class TestAgainstReferences:
                     apply_Tnu_cpn(metric)
                 continue
             got = apply_Tnu_cpn(metric).coeffs
-            first_pair = [12, 24] if n == 3 else [32, 64]
+            first_pair = list(LADDERS[n][:2])
             assert (levels == first_pair) == ((n, k, spread) in CORPUS_FIRST_PAIR), levels
             if n == 3:
-                want = pointwise_duffy_cp3(metric, min(2 * levels[-1], 192))
+                want = pointwise_duffy_cp3(metric, 2 * levels[-1])
             else:
                 vertices = [0, metric.basis.position((k, 0)), metric.basis.position((0, k))]
                 got, want = got[vertices], dblquad_cp2(metric, vertices)
             dev = np.max(np.abs(got - want) / want)
             assert dev < 1e-11, f"spread {spread}: certified at m={levels[-1]}, off by {dev:.2e}"
+
+    def test_cap_certificate_matches_512_node_rule(self, monkeypatch):
+        # the corpus start (3, 1, 6) certifies only from the last pair,
+        # 135/192; the pointwise rule at 512 nodes agrees with it to 2.8e-15
+        levels = record_levels(monkeypatch)
+        metric = random_cpn_metric(np.random.default_rng([3, 1, 60, 0]), 3, 1, 6)
+        got = apply_Tnu_cpn(metric).coeffs
+        assert levels == list(LADDERS[3])
+        want = pointwise_duffy_cp3(metric, 512)
+        assert np.max(np.abs(got - want) / want) < 1e-13

@@ -118,21 +118,50 @@ class TestSemiInfinite:
 
 class TestRefineDriver:
     def test_vector_certification(self):
+        # a doubling ladder and one with a step of 1.5 both stop at the
+        # first agreeing pair, below their last rung
+        for ladder in [(16, 32, 64, 128, 256, 512, 1024, 2048),
+                       (16, 24, 36, 54, 81, 122, 183, 275, 413)]:
+            calls = []
+
+            def evaluate(m):
+                calls.append(m)
+                return np.array([1.0 + 1.0 / m**4, 2.0 + 1.0 / m**4])
+
+            vals, errs = refine_by_doubling(evaluate, rel_tol=1e-9, ladder=ladder)
+            assert calls == list(ladder[:len(calls)])
+            assert 2 < len(calls) < len(ladder)
+            assert np.all(errs <= 1e-9)
+            assert vals == pytest.approx([1.0, 2.0], rel=1e-7)
+
+    def test_cap_failure(self):
         calls = []
 
         def evaluate(m):
             calls.append(m)
-            return np.array([1.0 + 1.0 / m**4, 2.0 + 1.0 / m**4])
+            return np.array([1.0 + 1.0 / m])
 
-        vals, errs = refine_by_doubling(evaluate, rel_tol=1e-9, m0=16, m_cap=2048)
-        assert calls == sorted(calls)
-        assert np.all(errs <= 1e-9)
-        assert vals == pytest.approx([1.0, 2.0], rel=1e-7)
+        with pytest.raises(QuadratureError, match="within node cap 54") as exc:
+            refine_by_doubling(evaluate, rel_tol=1e-12, ladder=(16, 24, 36, 54))
+        assert calls == [16, 24, 36, 54]
+        assert exc.value.best == pytest.approx([1.0 + 1.0 / 54])
 
-    def test_cap_failure(self):
-        with pytest.raises(QuadratureError):
-            refine_by_doubling(lambda m: np.array([1.0 + 1.0 / m]),
-                               rel_tol=1e-12, m0=16, m_cap=64)
+    @pytest.mark.parametrize("bad", [0, 2])
+    def test_nan_raises_at_its_rung(self, bad):
+        # a NaN never certifies, so the driver names its rung once two
+        # levels disagree, with the finite estimate before it as the best
+        ladder = (16, 24, 36, 54)
+
+        def evaluate(m):
+            return np.array([1.0, np.nan if m == ladder[bad] else 1.0 + 1.0 / m])
+
+        message = rf"^non-finite integral estimate at m={ladder[bad]}$"
+        with pytest.raises(QuadratureError, match=message) as exc:
+            refine_by_doubling(evaluate, rel_tol=1e-12, ladder=ladder)
+        if bad == 0:
+            assert exc.value.best is None
+        else:
+            assert exc.value.best == pytest.approx([1.0, 1.0 + 1.0 / ladder[bad - 1]])
 
 
 def test_import_leaves_scipy_unloaded():
