@@ -26,9 +26,9 @@ and c_s = sum_{i+j-1=s, i>j} a_i a_j (i-j)^2.  Only they are certified: each
 numerator is a @ dens, and is taken as 1 for T_nu, k for T (rho = (x P'/P)'
 has mass k, and a @ dens is checked against it) and a @ dens for T_K.
 An application certifies from the first pair of its ladder (64/128) at
-least, so its first call forms both levels at once: one Q and one f over the
-tables of the two levels side by side (``pair=128``), then one product per
-level.
+least, so its first call forms both levels at once (``fuse_first_pair``): one
+Q and one f over the tables of the two levels side by side (``pair=128``),
+then one product per level.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .metrics import DiagonalMetric, as_cp1_metric
 from .quadrature import (
     DEFAULT_APPLY_TOL,
     LADDERS,
+    fuse_first_pair,
     gauss_legendre_unit,
     refine_by_doubling,
 )
@@ -145,30 +146,26 @@ def _apply_family(g, kind: OperatorKind, tol: float) -> DiagonalMetric:
     ah = g.coeffs / amax
     c = _density_coeffs(ah) if kind is OperatorKind.T else None
     ladder = LADDERS[1]
-    next_level = {}
 
-    def evaluate(m: int) -> np.ndarray:
-        """dens_0, ..., dens_k with m nodes.  The first call, at ladder[0],
-        forms the levels ladder[0] and ladder[1] from side-by-side tables and
-        hands ladder[1] back on the next call."""
-        if m in next_level:
-            return next_level.pop(m)
-        pair = ladder[1] if m == ladder[0] else 0
-        w0, nu = _node_weights(m, pair)
-        rows = _rows(k, m, pair)
+    def levels(nodes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+        """dens_0, ..., dens_k at each node count of nodes, from one Q and
+        one f over the tables of the counts side by side."""
+        w0, nu = _node_weights(*nodes)
+        rows = _rows(k, *nodes)
         Q = ah @ rows
         if kind is OperatorKind.TNU:
             f = nu / Q  # t^3 + (1-t)^3 homogenizes 1+x
         elif kind is OperatorKind.T:
-            f = c @ _rows(2 * k - 2, m, pair) / Q / Q / Q  # S/Q^3 in steps: Q^3 can underflow
+            f = c @ _rows(2 * k - 2, *nodes) / Q / Q / Q  # S/Q^3 in steps: Q^3 can underflow
         else:
             f = np.exp((-2.0 / k) * np.log(Q)) / Q  # fractional power of the positive Q
         x = w0 * f
-        if not pair:
-            return rows @ x
-        next_level[pair] = rows[:, m:] @ x[m:]
-        return rows[:, :m] @ x[:m]
+        if len(nodes) == 1:
+            return (rows @ x,)
+        m = nodes[0]
+        return rows[:, :m] @ x[:m], rows[:, m:] @ x[m:]
 
+    evaluate = fuse_first_pair(levels, ladder)
     try:
         # Q >= min(ah) 8^-k at every node, and from 1e-90 on no f can leave
         # floating-point range.  Below, Q may underflow: numpy raises there
@@ -179,13 +176,13 @@ def _apply_family(g, kind: OperatorKind, tol: float) -> DiagonalMetric:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 dens, _ = refine_by_doubling(evaluate, tol, ladder)
         # Int dx/(1+x)^2 = 1, Int rho dx = k as rho = (x P'/P)', Int P^(-2/k) dx = a @ dens
-        mass = float(ah @ dens)
+        mass = 1.0 if kind is OperatorKind.TNU else float(ah @ dens)
         if kind is OperatorKind.T and abs(mass / k - 1.0) > tol:  # a peak of rho out of reach
             raise QuadratureError(
                 f"density mass {mass:.6g} != k: the rule misses part of rho"
                 f" (coefficient spread max a / min a = {amax / min(coeffs):.3g})",
                 best=dens)
-        num = 1.0 if kind is OperatorKind.TNU else k if kind is OperatorKind.T else mass
+        num = k if kind is OperatorKind.T else mass
         return DiagonalMetric.image(amax * num, (k + 1) * dens)
     except FloatingPointError:
         raise QuadratureError(

@@ -34,10 +34,19 @@ each orbit representative one reduction of its trailing factors against its
 K_e.  Forming D and K takes 2(k+1) m^n multiply-adds per level, whatever
 the numbers of basis elements and of representatives.  Both run as matrix
 products over slabs of columns of the last axis, whose D, H and K share one
-budget of 48^3 values, so no level holds more at a time.  None of the
-factors depends on the metric: they are built once per basis, set of orbit
-representatives and node count, and cached read-only, the grouping by e
-folded into the middle axis's factors.
+budget of 48^3 values, so no level holds more at a time.
+
+Nearly every application certifies from the first pair of its ladder (32/48
+on CP^2, 12/18 on CP^3), where a level costs its seven or eight numpy calls
+more than its arithmetic.  So the rules are evaluated as stacks on a leading
+axis: the first call contracts the pair as a stack of two, the coarser rule
+padded to the finer one's nodes by nodes of weight 0, and hands the finer
+level back on the next call (``fuse_first_pair``, as CP^1 does); every later
+rung is a stack of one.  The pair then does the finer level's arithmetic
+twice (2 x 18^3 grid points on CP^3 against 12^3 + 18^3) in half the calls.
+None of the factors depends on the metric: they are built once per basis,
+set of orbit representatives and tuple of node counts, and cached
+read-only, the grouping by e folded into the middle axis's factors.
 """
 
 from __future__ import annotations
@@ -54,6 +63,7 @@ from .metrics import MultiIndexMetric
 from .quadrature import (
     DEFAULT_APPLY_TOL,
     LADDERS,
+    fuse_first_pair,
     gauss_legendre_unit,
     refine_by_doubling,
 )
@@ -76,13 +86,15 @@ __all__ = [
 
 _SUPPORTED_N = (1, 2, 3)
 
-# Most grid-sized values one rule level holds at a time: for a slab of
-# columns of the last axis, D over the whole first axis and the sums H and K,
-# k+1 values per point of the trailing axes each.  Finer levels take more,
-# narrower slabs, so an application's peak memory does not depend on the
-# level it certifies at (a whole 96^3 grid and its reciprocal take 14 MB).
-# On CP^3 at k=4 the rungs up to 40 nodes are one slab each, 60 three, 90
-# eight, 135 twenty-seven and the cap, 192, ninety-six.
+# Most grid-sized values one stack of rule levels holds at a time: for a slab
+# of columns of the last axis, D over the whole first axis and the sums H and
+# K, k+1 values per point of the trailing axes each, for every rule of the
+# stack.  The first pair, a stack of two, takes twice a level's share per
+# column.  Finer levels take more, narrower slabs, so an application's peak
+# memory does not depend on the level it certifies at (a whole 96^3 grid and
+# its reciprocal take 14 MB).  On CP^3 at k=4 the first pair (12/18) and the
+# rungs up to 40 nodes are one slab each, 60 three, 90 eight, 135
+# twenty-seven and the cap, 192, ninety-six.
 _GRID_BLOCK = 48 ** 3
 
 
@@ -93,6 +105,13 @@ class MonomialBasis:
     n: int
     k: int
     exponents: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        # the cache keys of every application: hash the N exponent tuples once
+        object.__setattr__(self, "_hash", hash((self.n, self.k, self.exponents)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def size(self) -> int:
@@ -272,9 +291,11 @@ def metric_from_class_values(basis: MonomialBasis, values) -> MultiIndexMetric:
 
 
 @lru_cache(maxsize=64)
-def _factor_tables(basis: MonomialBasis, reps: tuple[int, ...], m: int) -> tuple[np.ndarray, ...]:
-    """Per-axis factors at m nodes (read-only), grouped by the first Duffy
-    exponent e = alpha_1, on which alone a first-axis factor depends:
+def _factor_tables(basis: MonomialBasis, reps: tuple[int, ...],
+                   nodes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Per-axis factors (read-only) of the rules with the node counts
+    ``nodes``, stacked on a leading axis, grouped by the first Duffy exponent
+    e = alpha_1, on which alone a first-axis factor depends:
 
     - the first-axis factors of D and of the numerators, (k+1, m) each, the
       latter with the Duffy Jacobian and the weights folded in;
@@ -283,12 +304,21 @@ def _factor_tables(basis: MonomialBasis, reps: tuple[int, ...], m: int) -> tuple
       the last-axis factors, one row each, (N, m);
     - the same two tables for the numerators of the representatives reps.
 
-    An axis that CP^n lacks is a column of ones.
+    An axis that CP^n lacks is a column of ones.  Each rule is padded to the
+    largest count m of ``nodes`` by nodes t = 1-t = 1/2 of weight 0: D stays
+    positive there and every numerator factor is 0, so they add exact zeros.
     """
     n, k = basis.n, basis.k
-    t, omt, w = gauss_legendre_unit(m)
-    pt = t[None, :] ** np.arange(k + 1)[:, None]
-    pomt = omt[None, :] ** np.arange(k + n)[:, None]
+    m = max(nodes)
+
+    def padded(i, value):  # part i of each rule, padded to m nodes by value
+        return np.array([np.pad(gauss_legendre_unit(c)[i], (0, m - c), constant_values=value)
+                         for c in nodes])
+
+    t, omt, w = padded(0, 0.5), padded(1, 0.5), padded(2, 0.0)
+    pt = t[:, None, :] ** np.arange(k + 1)[:, None]
+    pomt = omt[:, None, :] ** np.arange(k + n)[:, None]
+    w = w[:, None, :]
     # Duffy pullback of u^alpha s^(k-|alpha|): t^alpha_j (1-t)^(k - alpha_1 -
     # ... - alpha_j) on axis j; the numerators add the Jacobian (1-t)^(n-1-j)
     t_pow = np.array(basis.exponents)
@@ -296,12 +326,12 @@ def _factor_tables(basis: MonomialBasis, reps: tuple[int, ...], m: int) -> tuple
     e = np.arange(k + 1)
 
     def trailing(t_exp, omt_exp, weight):
-        factors = [np.ones((len(t_exp), 1))] * (3 - n) + [
-            pt[t_exp[:, j]] * pomt[omt_exp[:, j]] * weight for j in range(1, n)]
-        grouped = (t_exp[:, 0] == e[:, None])[:, None, :] * factors[0].T
-        return grouped.reshape(-1, len(t_exp)), factors[1]
+        factors = [np.ones((len(nodes), len(t_exp), 1))] * (3 - n) + [
+            pt[:, t_exp[:, j]] * pomt[:, omt_exp[:, j]] * weight for j in range(1, n)]
+        grouped = (t_exp[:, 0] == e[:, None])[:, None, :] * factors[0].transpose(0, 2, 1)[:, None]
+        return grouped.reshape(len(nodes), -1, len(t_exp)), factors[1]
 
-    tables = (pt * pomt[k - e], pt * pomt[k - e + n - 1] * w, *trailing(t_pow, omt_pow, 1.0),
+    tables = (pt * pomt[:, k - e], pt * pomt[:, k - e + n - 1] * w, *trailing(t_pow, omt_pow, 1.0),
               *trailing(t_pow[list(reps)], omt_pow[list(reps)] + np.arange(n - 1, -1, -1), w))
     for f in tables:
         f.flags.writeable = False
@@ -334,29 +364,33 @@ def apply_Tnu_cpn(
     # of a symmetric start exactly symmetric
     _, reps, owner = _partition(basis, _invariance(metric, 0.0))
 
-    def evaluate(m: int) -> np.ndarray:
+    def levels(nodes: tuple[int, ...]) -> np.ndarray:
         # D(x_1, x') = sum_e first[e](x_1) H_e(x') over the trailing axes x',
         # H_e summing the terms whose alpha_1 is e.  A numerator's first-axis
         # factor depends on e alone too, so K_e(x') = sum_x1 first_numer[e] / D
         # leaves one reduction of each representative's trailing factors
         # against its K_e.  H, D and K are formed for one slab of last-axis
-        # columns at a time; Y gathers the reductions over the slabs
+        # columns of every rule of the stack at a time; Y gathers the
+        # reductions over the slabs
         first, first_numer, grouped, last, numer_grouped, numer_last = (
-            _factor_tables(basis, reps, m))
-        mid = len(grouped) // (k + 1)
-        width = max(1, _GRID_BLOCK // (mid * (m + 2 * (k + 1))))
+            _factor_tables(basis, reps, nodes))
+        stack, rows, _ = grouped.shape
+        m, mid = first.shape[2], rows // (k + 1)
+        width = max(1, _GRID_BLOCK // (stack * mid * (m + 2 * (k + 1))))
         Y = np.zeros(numer_grouped.shape)
-        for lo in range(0, last.shape[1], width):
+        for lo in range(0, last.shape[2], width):
             cols = slice(lo, lo + width)
-            R = first.T @ (grouped @ (ah[:, None] * last[:, cols])).reshape(k + 1, -1)
+            R = first.transpose(0, 2, 1) @ (
+                grouped @ (ah[:, None] * last[..., cols])).reshape(stack, k + 1, -1)
             np.divide(1.0, R, out=R)
-            K = (first_numer @ R).reshape(len(grouped), -1)
+            K = (first_numer @ R).reshape(stack, rows, -1)
             del R  # the next slab's grid is built before R would be rebound
-            Y += K @ numer_last[:, cols].T
-        return (Y * numer_grouped).sum(axis=0)
+            Y += K @ numer_last[..., cols].transpose(0, 2, 1)
+        return (Y * numer_grouped).sum(axis=1)
 
     try:
-        integrals, _ = refine_by_doubling(evaluate, tol, LADDERS[n])
+        ladder = LADDERS[n]
+        integrals, _ = refine_by_doubling(fuse_first_pair(levels, ladder), tol, ladder)
         return MultiIndexMetric.image(amax, basis.size * factorial(n) * integrals[owner],
                                       basis=basis)
     except QuadratureError as exc:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import count, islice, pairwise
-from math import log
+from math import log, sqrt
 
 import numpy as np
 
@@ -83,7 +83,7 @@ def _shape_distance(a, b) -> float:
     """distance(_first_normalized(a), _first_normalized(b)), bit for bit,
     without building the two metrics."""
     na, nb = a.coeffs * (1.0 / a.coeffs[0]), b.coeffs * (1.0 / b.coeffs[0])
-    return float(np.sqrt((np.log(nb / na) ** 2).sum()))
+    return sqrt((np.log(nb / na) ** 2).sum())
 
 
 def apply_step(op, g, tol: float = DEFAULT_APPLY_TOL):

@@ -13,7 +13,7 @@ B is the Euclidean norm of log(b_i/a_i).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import comb
+from math import comb, isnan
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -71,11 +71,14 @@ class _Metric:
         rounded division is monotone, so the quotients by the extreme
         integrals (in Python floats) bound all others, and an image out of
         floating-point range raises QuadratureError before numpy divides,
-        without an overflow warning.  They are then made read-only and
-        wrapped without validating them again.
+        without an overflow warning.  Python's min and max skip a NaN after
+        the first value, so a NaN is caught by the sum.  The quotients are
+        then made read-only and wrapped without validating them again.
         """
-        lo, hi = float(integrals.min()), float(integrals.max())
-        if not (lo > 0.0 and numerator / hi > 0.0 and numerator / lo < np.inf):
+        values = integrals.tolist()  # few: Python's reductions beat numpy's
+        lo, hi = min(values), max(values)
+        if not (lo > 0.0 and numerator / hi > 0.0 and numerator / lo < np.inf
+                and not isnan(sum(values))):
             raise QuadratureError("the image of a valid metric leaves floating-point range",
                                   best=integrals)
         coeffs = numerator / integrals

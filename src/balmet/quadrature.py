@@ -31,6 +31,7 @@ __all__ = [
     "gauss_legendre_unit",
     "integrate_semi_infinite",
     "refine_by_doubling",
+    "fuse_first_pair",
     "LADDERS",
     "DEFAULT_APPLY_TOL",
 ]
@@ -42,8 +43,9 @@ __all__ = [
 # about 1.5 apart still bound the coarser one's error (under geometric
 # convergence the finer one is better still), so they certify as
 # conservatively, at no more than about 2.25x the first accurate level.  CP^1
-# takes 64/128 as one fused first pair: a level is almost free there, and
-# calls cost more than nodes.
+# takes 64/128 as its first pair: a level is almost free there, and calls
+# cost more than nodes.  Every map forms its first pair in one call
+# (``fuse_first_pair``).
 LADDERS = {1: (64, 128, 192, 288, 432, 648, 972, 1458, 2048),
            2: (32, 48, 72, 108, 162, 243, 364, 512),
            3: (12, 18, 27, 40, 60, 90, 135, 192)}
@@ -112,7 +114,7 @@ def refine_by_doubling(
     for m in ladder[1:]:
         cur = evaluate(m)
         err = np.abs(cur - prev) / np.maximum(np.abs(cur), _TINY)
-        if (err <= rel_tol).all():
+        if err.max() <= rel_tol:  # NaN if any is: a NaN never certifies
             return cur, err
         if m == ladder[1] and not np.isfinite(prev).all():
             raise QuadratureError(f"non-finite integral estimate at m={ladder[0]}")
@@ -124,6 +126,24 @@ def refine_by_doubling(
         f" (last disagreement {np.max(err) if err is not None else np.nan:.3e})",
         best=prev,
     )
+
+
+def fuse_first_pair(levels: Callable, ladder: tuple[int, ...]) -> Callable[[int], np.ndarray]:
+    """``evaluate`` for ``refine_by_doubling`` on ``ladder``, from
+    ``levels(nodes)``, the levels of the node counts ``nodes`` formed at once:
+    the call at ladder[0] forms the first pair and hands ladder[1] back on
+    the next call; every later rung is formed on its own."""
+    handed = {}
+
+    def evaluate(m: int) -> np.ndarray:
+        if m in handed:
+            return handed.pop(m)
+        if m != ladder[0]:
+            return levels((m,))[0]
+        coarse, handed[ladder[1]] = levels(ladder[:2])
+        return coarse
+
+    return evaluate
 
 
 def integrate_semi_infinite(f: Callable, rel_tol: float = 1e-11) -> tuple[float, float]:

@@ -562,7 +562,9 @@ class TestReproduceCommand:
         # k=8 with spread 1e8 certifies at m=1024, where the table products are large
         (["iterate", "--op", "T", "--k", "8", "--coeffs", "1,1e8,1,1e8,1,1e8,1,1e8,1",
           "--steps", "2"], False),
-    ], ids=["tk-k2", "cpn-tnu", "cp3-tnu", "cp1-t-wide"])
+        # a generic CP^2 start: every application contracts its first pair as one stack
+        (["sigma", "--op", "Tnu", "--n", "2", "--k", "5", "--seed", "2"], False),
+    ], ids=["tk-k2", "cpn-tnu", "cp3-tnu", "cp1-t-wide", "cp2-tnu-generic"])
     def test_output_independent_of_blas_threads(self, tmp_path, argv, to_file):
         src = str(Path(balmet.__file__).resolve().parents[1])
         outputs = []

@@ -98,6 +98,19 @@ class TestBasis:
         with pytest.raises(ValueError):
             build_basis(2, 0)
 
+    def test_equal_basis_built_apart_shares_cache_entries(self):
+        # the hash is taken once, from the fields equality compares
+        basis = build_basis(3, 4)
+        twin = cpn.MonomialBasis(3, 4, tuple(tuple(alpha) for alpha in basis.exponents))
+        assert twin is not basis
+        assert twin == basis and hash(twin) == hash(basis)
+        assert cpn.MonomialBasis(3, 4, basis.exponents[::-1]) != basis
+        invariant = (True,) * 24
+        want = cpn._partition(basis, invariant)
+        hits = cpn._partition.cache_info().hits
+        assert cpn._partition(twin, invariant) is want
+        assert cpn._partition.cache_info().hits == hits + 1
+
 
 class TestPermutationAction:
     def test_identity(self):
@@ -238,6 +251,20 @@ class TestClassValues:
             metric_from_class_values(build_basis(3, 4), (1.0, 2.0))
 
 
+def separate_level(metric, m):
+    """One rule level of ``apply_Tnu_cpn`` on the unpadded tables of m nodes,
+    in one slab: the level that an application's first call forms stacked
+    with the next one."""
+    basis, k = metric.basis, metric.k
+    reps = cpn._partition(basis, cpn._invariance(metric, 0.0))[1]
+    first, first_numer, grouped, last, numer_grouped, numer_last = (
+        table[0] for table in cpn._factor_tables(basis, reps, (m,)))
+    ah = metric.coeffs / metric.coeffs.max()
+    R = first.T @ (grouped @ (ah[:, None] * last)).reshape(k + 1, -1)
+    K = (first_numer @ (1.0 / R)).reshape(len(grouped), -1)
+    return ((K @ numer_last.T) * numer_grouped).sum(axis=0)
+
+
 class TestApply:
     @pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2, 3) for k in range(1, 6)])
     def test_round_metric_fixed(self, n, k):
@@ -276,11 +303,13 @@ class TestApply:
     @pytest.mark.parametrize("n, k", [(2, 3), (3, 2), (3, 4)])
     def test_slabs_match_whole_grid(self, monkeypatch, n, k):
         # every level in one slab, then in slabs of the last axis, the last
-        # one short on the lower rungs.  A slab of width c holds c m^(n-2)
-        # (m + 2(k+1)) values of D, H and K: 2500 of them make 5+5+5+3
-        # columns at m=18 on CP^3 k=2 and 4+4+4+4+2 on k=4 (both certify at
-        # m=60, in slabs of one column), and on CP^2 k=3 one slab at m=32,
-        # then 44+4 at m=48
+        # one short on the lower rungs.  A slab of width c holds s c m^(n-2)
+        # (m + 2(k+1)) values of D, H and K for a stack of s rules padded to
+        # m nodes.  2500 of them make 9 slabs of 2 columns for the first pair
+        # (12/18, s = 2) on CP^3 k=2 and on k=4, then 13 of 2 and one of 1 at
+        # m=27 (both certify at m=60, in slabs of one column from m=40), and
+        # 22+22+4 columns for the first pair (32/48) of CP^2 k=3, which
+        # certifies there
         metric = random_cpn_metric(np.random.default_rng(11), n, k, spread=2.0)
         monkeypatch.setattr(cpn, "_GRID_BLOCK", 10**9)
         whole = apply_Tnu_cpn(metric)
@@ -309,18 +338,73 @@ class TestApply:
         assert reps == (0, 1, 4, 5, 14)
         assert not owner.flags.writeable
         assert not cpn._symmetries(build_basis(3, 4))[1].flags.writeable
-        for basis, reps, m in [(build_basis(2, 3), tuple(range(10)), 64),
-                               (build_basis(3, 4), reps, 48),
-                               (build_basis(3, 2), tuple(range(10)), 24)]:
-            tables = cpn._factor_tables(basis, reps, m)
+        for basis, reps, nodes in [(build_basis(2, 3), tuple(range(10)), (32, 48)),
+                                   (build_basis(3, 4), reps, (12, 18)),
+                                   (build_basis(3, 2), tuple(range(10)), (27,))]:
+            tables = cpn._factor_tables(basis, reps, nodes)
             assert not any(f.flags.writeable for f in tables)
             first, first_numer, grouped, last, numer_grouped, numer_last = tables
+            m, k1, s = max(nodes), basis.k + 1, len(nodes)
             mid = m if basis.n == 3 else 1  # a middle axis only on CP^3
-            assert first.shape == first_numer.shape == (basis.k + 1, m)
-            assert grouped.shape == ((basis.k + 1) * mid, basis.size)
-            assert last.shape == (basis.size, m)
-            assert numer_grouped.shape == ((basis.k + 1) * mid, len(reps))
-            assert numer_last.shape == (len(reps), m)
+            assert first.shape == first_numer.shape == (s, k1, m)
+            assert grouped.shape == (s, k1 * mid, basis.size)
+            assert last.shape == (s, basis.size, m)
+            assert numer_grouped.shape == (s, k1 * mid, len(reps))
+            assert numer_last.shape == (s, len(reps), m)
+            for i, c in enumerate(nodes):
+                # a padding node weighs 0 in every numerator factor, and
+                # keeps D's factors positive
+                assert not first_numer[i, :, c:].any() and not numer_last[i, :, c:].any()
+                assert (first[i] > 0).all() and (last[i] > 0).all()
+                if basis.n == 3:
+                    assert not numer_grouped[i].reshape(k1, m, -1)[:, c:].any()
+                # the real nodes carry the rule of c nodes: its own tables
+                alone = cpn._factor_tables(basis, reps, (c,))
+                assert np.array_equal(first[i, :, :c], alone[0][0])
+                assert np.array_equal(numer_last[i, :, :c], alone[5][0])
+
+    def test_stacked_first_pair_matches_separate_levels(self, monkeypatch):
+        # every level in one slab, as ``separate_level`` forms it
+        monkeypatch.setattr(cpn, "_GRID_BLOCK", 10**9)
+        levels = []
+        real = cpn.refine_by_doubling
+
+        def recording(evaluate, *args):
+            def recorded(m):
+                levels.append((m, evaluate(m)))
+                return levels[-1][1]
+            return real(recorded, *args)
+
+        monkeypatch.setattr(cpn, "refine_by_doubling", recording)
+        rng = np.random.default_rng(19)
+        top = 0
+        for n, degrees in [(1, (2, 5, 9)), (2, (2, 3, 5)), (3, (1, 2, 4))]:
+            for k in degrees:
+                basis = build_basis(n, k)
+                full = [orbit[0] for orbit in full_symmetry_orbits(basis)]
+                for symmetric, spread in itertools.product((False, True), (0.0, 1.0, 2.5)):
+                    if symmetric:
+                        values = multinomial_coeffs(basis)[full]
+                        values *= np.exp(rng.uniform(-spread, spread, len(full)))
+                        metric = metric_from_class_values(basis, values)
+                    else:
+                        metric = random_cpn_metric(rng, n, k, spread=spread)
+                    levels.clear()
+                    try:
+                        apply_Tnu_cpn(metric)
+                    except QuadratureError:
+                        pass
+                    assert [m for m, _ in levels[:2]] == list(LADDERS[n][:2])
+                    for i, (m, got) in enumerate(levels):
+                        want = separate_level(metric, m)
+                        if i == 0:
+                            # padded to the next rung, its products run through
+                            # other BLAS kernels: equal up to rounding
+                            np.testing.assert_allclose(got, want, rtol=2e-15, atol=0.0)
+                        else:
+                            assert np.array_equal(got, want), (n, k, symmetric, spread, m)
+                    top = max(top, LADDERS[n].index(levels[-1][0]))
+        assert top >= 3
 
     def test_warm_peak_memory_at_m90(self, monkeypatch):
         # a slab's D, H and K share the 48^3 budget (0.88 MB), so a warm

@@ -66,6 +66,18 @@ class TestDiagonalMetric:
                                                           " leaves floating-point range$"):
                     DiagonalMetric.image(num, np.array(integrals))
 
+    @pytest.mark.parametrize("position", range(4))
+    def test_image_rejects_a_nan_anywhere(self, position):
+        # Python's min and max skip a NaN that is not the first value
+        integrals = np.array([1.0, 2.0, 3.0, 4.0])
+        integrals[position] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(QuadratureError, match="^the image of a valid metric"):
+                DiagonalMetric.image(1.0, integrals)
+            with pytest.raises(QuadratureError, match="^the image of a valid metric"):
+                MultiIndexMetric.image(1.0, integrals, basis=build_basis(3, 1))
+
 
 class TestDistance:
     def test_identity(self):
