@@ -16,19 +16,21 @@ polynomial Q(t) = sum_i a_i t^(3i) (1-t)^(3(k-i)).  Cubic grading keeps the
 boundary layers of badly scaled metrics (coefficient ratios of 1e10) well
 inside the node range; the operator then certifies at modest node counts.
 
-None of these powers depends on the metric: the cached, read-only table
-``_rows(d, m)`` holds t^(3j) (1-t)^(3(d-j)), j = 0..d, at the m nodes, and
-``_node_weights(m)`` the row w0 = w 3t^2 (1-t)^2 and the T_nu factor
-1/(t^3+(1-t)^3)^2.  With a scaled by amax = max a_i, Q = a @ _rows(k, m), and
-as W_q = 3t^2 (1-t)^2 row_q, the k+1 densities are one product
-dens = _rows(k, m) @ (w0 f(Q)), for T with f = S/Q^3, S = c @ _rows(2k-2, m)
-and c_s = sum_{i+j-1=s, i>j} a_i a_j (i-j)^2.  Only they are certified: each
+None of these powers depends on the metric.  For a stack of rules with the
+node counts ``nodes`` (``stack_rules``), the cached, read-only table
+``_rows(d, nodes)`` holds t^(3j) (1-t)^(3(d-j)), j = 0..d, at each rule's
+nodes, and ``_node_weights(nodes)`` the rows w0 = w 3t^2 (1-t)^2 and the
+T_nu factor 1/(t^3+(1-t)^3)^2.  With a scaled by amax = max a_i,
+Q = a @ _rows(k, nodes), and as W_q = 3t^2 (1-t)^2 row_q, the k+1 densities
+of a rule are one product dens = _rows(k, nodes) @ (w0 f(Q)), for T with
+f = S/Q^3, S = c @ _rows(2k-2, nodes) and
+c_s = sum_{i+j-1=s, i>j} a_i a_j (i-j)^2.  Only they are certified: each
 numerator is a @ dens, and is taken as 1 for T_nu, k for T (rho = (x P'/P)'
 has mass k, and a @ dens is checked against it) and a @ dens for T_K.
 An application certifies from the first pair of its ladder (64/128) at
 least, so its first call forms both levels at once (``fuse_first_pair``): one
-Q and one f over the tables of the two levels side by side (``pair=128``),
-then one product per level.
+Q, one f and one product over a stack of the two rules, the coarser padded
+to 128 nodes by nodes of weight 0; every later rung is a stack of one.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .quadrature import (
     fuse_first_pair,
     gauss_legendre_unit,
     refine_by_doubling,
+    stack_rules,
 )
 
 __all__ = [
@@ -76,7 +79,7 @@ class OperatorKind(enum.Enum):
         is returned unchanged."""
         if isinstance(name, cls):
             return name
-        key = name.strip().lower().replace("_", "")
+        key = name.strip().lower().replace("_", "") if isinstance(name, str) else None
         for kind in cls:
             if kind.value.lower() == key:
                 return kind
@@ -92,31 +95,25 @@ class OperatorKind(enum.Enum):
 
 
 @lru_cache(maxsize=128)
-def _rows(d: int, m: int, pair: int = 0) -> np.ndarray:
-    """Rows t^(3j) (1-t)^(3(d-j)), j = 0..d, at the m nodes (read-only).
-    With pair, the rows at m and at pair nodes side by side.  A cp1-sweep
-    benchmark run builds 84 of these tables, pairs and the rungs its
-    known-limit starts walk to the cap included; an LRU cache smaller than a
-    cyclic working set misses on every call."""
-    if pair:
-        rows = np.hstack((_rows(d, m), _rows(d, pair)))
-    else:
-        t, omt, _ = gauss_legendre_unit(m)
-        j = np.arange(d + 1)[:, None]
-        rows = t[None, :] ** (_P * j) * omt[None, :] ** (_P * (d - j))
+def _rows(d: int, nodes: tuple[int, ...]) -> np.ndarray:
+    """Rows t^(3j) (1-t)^(3(d-j)), j = 0..d, of each rule of the stack with
+    the node counts ``nodes``, (len(nodes), d+1, max(nodes)) (read-only).
+    A cp1-sweep benchmark run builds 62 of these tables, pairs and the rungs
+    its known-limit starts walk to the cap included; an LRU cache smaller
+    than a cyclic working set misses on every call."""
+    t, omt, _ = stack_rules(gauss_legendre_unit(c) for c in nodes)
+    j = np.arange(d + 1)[:, None]
+    rows = t[:, None, :] ** (_P * j) * omt[:, None, :] ** (_P * (d - j))
     rows.flags.writeable = False
     return rows
 
 
 @lru_cache(maxsize=64)
-def _node_weights(m: int, pair: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Weight row w 3t^2 (1-t)^2 and T_nu factor at the m nodes (read-only).
-    With pair, those at m and at pair nodes side by side."""
-    if pair:
-        w0, nu = map(np.hstack, zip(_node_weights(m), _node_weights(pair)))
-    else:
-        t, omt, w = gauss_legendre_unit(m)
-        w0, nu = w * (3.0 * t**2 * omt**2), 1.0 / (t**_P + omt**_P) ** 2
+def _node_weights(nodes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Weight rows w 3t^2 (1-t)^2 and T_nu factors of each rule of the stack
+    with the node counts ``nodes`` (read-only)."""
+    t, omt, w = stack_rules(gauss_legendre_unit(c) for c in nodes)
+    w0, nu = w * (3.0 * t**2 * omt**2), 1.0 / (t**_P + omt**_P) ** 2
     w0.flags.writeable = nu.flags.writeable = False
     return w0, nu
 
@@ -147,23 +144,20 @@ def _apply_family(g, kind: OperatorKind, tol: float) -> DiagonalMetric:
     c = _density_coeffs(ah) if kind is OperatorKind.T else None
     ladder = LADDERS[1]
 
-    def levels(nodes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-        """dens_0, ..., dens_k at each node count of nodes, from one Q and
-        one f over the tables of the counts side by side."""
-        w0, nu = _node_weights(*nodes)
-        rows = _rows(k, *nodes)
+    def levels(nodes: tuple[int, ...]) -> np.ndarray:
+        """dens_0, ..., dens_k of each rule of the stack with the node
+        counts nodes, one row per rule."""
+        w0, nu = _node_weights(nodes)
+        rows = _rows(k, nodes)
         Q = ah @ rows
         if kind is OperatorKind.TNU:
             f = nu / Q  # t^3 + (1-t)^3 homogenizes 1+x
         elif kind is OperatorKind.T:
-            f = c @ _rows(2 * k - 2, *nodes) / Q / Q / Q  # S/Q^3 in steps: Q^3 can underflow
+            f = c @ _rows(2 * k - 2, nodes) / Q / Q / Q  # S/Q^3 in steps: Q^3 can underflow
         else:
             f = np.exp((-2.0 / k) * np.log(Q)) / Q  # fractional power of the positive Q
         x = w0 * f
-        if len(nodes) == 1:
-            return (rows @ x,)
-        m = nodes[0]
-        return rows[:, :m] @ x[:m], rows[:, m:] @ x[m:]
+        return (rows @ x[..., None])[..., 0]
 
     evaluate = fuse_first_pair(levels, ladder)
     try:

@@ -38,15 +38,15 @@ budget of 48^3 values, so no level holds more at a time.
 
 Nearly every application certifies from the first pair of its ladder (32/48
 on CP^2, 12/18 on CP^3), where a level costs its seven or eight numpy calls
-more than its arithmetic.  So the rules are evaluated as stacks on a leading
-axis: the first call contracts the pair as a stack of two, the coarser rule
-padded to the finer one's nodes by nodes of weight 0, and hands the finer
-level back on the next call (``fuse_first_pair``, as CP^1 does); every later
-rung is a stack of one.  The pair then does the finer level's arithmetic
-twice (2 x 18^3 grid points on CP^3 against 12^3 + 18^3) in half the calls.
-None of the factors depends on the metric: they are built once per basis,
-set of orbit representatives and tuple of node counts, and cached
-read-only, the grouping by e folded into the middle axis's factors.
+more than its arithmetic.  So the rules are evaluated as stacks of padded
+rules (``stack_rules``, as on CP^1): the first call contracts the pair as a
+stack of two and hands the finer level back on the next call
+(``fuse_first_pair``); every later rung is a stack of one.  The pair then
+does the finer level's arithmetic twice (2 x 18^3 grid points on CP^3
+against 12^3 + 18^3) in half the calls.  None of the factors depends on
+the metric: they are built once per basis, set of orbit representatives and
+tuple of node counts, and cached read-only, the grouping by e folded into the
+middle axis's factors.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ from .quadrature import (
     fuse_first_pair,
     gauss_legendre_unit,
     refine_by_doubling,
+    stack_rules,
 )
 
 __all__ = [
@@ -304,18 +305,11 @@ def _factor_tables(basis: MonomialBasis, reps: tuple[int, ...],
       the last-axis factors, one row each, (N, m);
     - the same two tables for the numerators of the representatives reps.
 
-    An axis that CP^n lacks is a column of ones.  Each rule is padded to the
-    largest count m of ``nodes`` by nodes t = 1-t = 1/2 of weight 0: D stays
-    positive there and every numerator factor is 0, so they add exact zeros.
+    An axis that CP^n lacks is a column of ones.  At a padding node of
+    ``stack_rules``, D stays positive and every numerator factor is 0.
     """
     n, k = basis.n, basis.k
-    m = max(nodes)
-
-    def padded(i, value):  # part i of each rule, padded to m nodes by value
-        return np.array([np.pad(gauss_legendre_unit(c)[i], (0, m - c), constant_values=value)
-                         for c in nodes])
-
-    t, omt, w = padded(0, 0.5), padded(1, 0.5), padded(2, 0.0)
+    t, omt, w = stack_rules(gauss_legendre_unit(c) for c in nodes)
     pt = t[:, None, :] ** np.arange(k + 1)[:, None]
     pomt = omt[:, None, :] ** np.arange(k + n)[:, None]
     w = w[:, None, :]

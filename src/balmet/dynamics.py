@@ -67,9 +67,13 @@ class NormalizationMode(enum.Enum):
     FIRST_COEFF = "first"
 
     @classmethod
-    def parse(cls, name: str) -> "NormalizationMode":
+    def parse(cls, name: "NormalizationMode | str") -> "NormalizationMode":
+        """The mode named by ``name`` (case ignored); a mode is returned as is."""
+        if isinstance(name, cls):
+            return name
+        key = name.strip().lower() if isinstance(name, str) else None
         for mode in cls:
-            if mode.value == name.strip().lower():
+            if mode.value == key:
                 return mode
         raise ValueError(f"unknown normalization {name!r}; "
                          f"expected none, balanced, or first")
@@ -216,8 +220,6 @@ class Trajectory:
     sigma_tilde: tuple[float, ...]
     bound: tuple[float, ...]
     sigma_predicted: float
-    d: float
-    k: int
 
     @property
     def steps(self) -> int:
@@ -257,8 +259,7 @@ def build_trajectory(op, g0, steps: int,
     ``steps + 1`` items are the iterates, its last item is the balanced limit,
     and every recorded error is measured against that limit.
     """
-    if isinstance(normalization, str):
-        normalization = NormalizationMode.parse(normalization)
+    normalization = NormalizationMode.parse(normalization)
     kind = OperatorKind.parse(op)
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -286,8 +287,6 @@ def build_trajectory(op, g0, steps: int,
         sigma_tilde=ratios,
         bound=bounds,
         sigma_predicted=sigma,
-        d=d,
-        k=k,
     )
 
 

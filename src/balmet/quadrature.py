@@ -31,6 +31,7 @@ __all__ = [
     "gauss_legendre_unit",
     "integrate_semi_infinite",
     "refine_by_doubling",
+    "stack_rules",
     "fuse_first_pair",
     "LADDERS",
     "DEFAULT_APPLY_TOL",
@@ -126,6 +127,17 @@ def refine_by_doubling(
         f" (last disagreement {np.max(err) if err is not None else np.nan:.3e})",
         best=prev,
     )
+
+
+def stack_rules(rules) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes t, complements 1-t and weights of ``rules`` (each as
+    ``gauss_legendre_unit`` returns it), stacked on a leading axis.  Each rule
+    is padded to the largest node count by nodes t = 1-t = 1/2 of weight 0:
+    an integrand stays finite there and adds exact zeros."""
+    parts = list(zip(*rules))
+    m = max(t.size for t in parts[0])
+    return tuple(np.array([np.pad(a, (0, m - a.size), constant_values=value) for a in part])
+                 for part, value in zip(parts, (0.5, 0.5, 0.0)))
 
 
 def fuse_first_pair(levels: Callable, ladder: tuple[int, ...]) -> Callable[[int], np.ndarray]:

@@ -317,27 +317,27 @@ def test_cached_tables_read_only_and_cold_equals_warm():
         cp1._pairs.cache_clear()
         cold = OPS[op](g).coeffs
         assert np.array_equal(OPS[op](g).coeffs, cold)
-    assert not cp1._rows(6, 64).flags.writeable
-    assert not cp1._rows(6, 64, 128).flags.writeable
-    assert not any(a.flags.writeable for a in cp1._node_weights(64))
-    assert not any(a.flags.writeable for a in cp1._node_weights(64, 128))
+    assert not cp1._rows(6, (64,)).flags.writeable
+    assert not cp1._rows(6, (64, 128)).flags.writeable
+    assert not any(a.flags.writeable for a in cp1._node_weights((64,)))
+    assert not any(a.flags.writeable for a in cp1._node_weights((64, 128)))
     assert not any(a.flags.writeable for a in cp1._pairs(7))
 
 
 def _separate_level(op, a, m):
     """The densities of one rule level on its own tables: the level the
-    first call of an application forms side by side with the next one."""
+    first call of an application forms padded, stacked with the next one."""
     from balmet import cp1
 
     k = a.size - 1
     ah = a / a.max()
-    w0, nu = cp1._node_weights(m)
-    rows = cp1._rows(k, m)
+    (w0,), (nu,) = cp1._node_weights((m,))
+    (rows,) = cp1._rows(k, (m,))
     Q = ah @ rows
     if op == "Tnu":
         f = nu / Q
     elif op == "T":
-        f = cp1._density_coeffs(ah) @ cp1._rows(2 * k - 2, m) / Q / Q / Q
+        f = cp1._density_coeffs(ah) @ cp1._rows(2 * k - 2, (m,))[0] / Q / Q / Q
     else:
         f = np.exp((-2.0 / k) * np.log(Q)) / Q
     return rows @ (w0 * f)
@@ -461,8 +461,9 @@ class TestDegreeValidation:
         assert OperatorKind.parse("tnu") is OperatorKind.TNU
         assert OperatorKind.parse("T_K") is OperatorKind.TK
         assert OperatorKind.parse(OperatorKind.T) is OperatorKind.T
-        with pytest.raises(ValueError):
-            OperatorKind.parse("bogus")
+        for bad in (3, None, "bogus"):
+            with pytest.raises(ValueError, match="unknown operator"):
+                OperatorKind.parse(bad)
 
     def test_dispatch(self):
         out = apply_operator("TK", (1, 2, 1))

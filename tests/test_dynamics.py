@@ -148,6 +148,25 @@ class TestErrorSeriesAndSigma:
         assert len(traj.err) == 6
         assert np.allclose(traj.err, want, atol=5e-4)
 
+    @pytest.mark.parametrize("bad", [3, None, "bogus"])
+    def test_unknown_normalization_raises(self, bad):
+        # an unknown mode must not fall through to raw distances
+        with pytest.raises(ValueError, match="unknown normalization"):
+            NormalizationMode.parse(bad)
+        with pytest.raises(ValueError, match="unknown normalization"):
+            build_trajectory("TK", TK_START, steps=2, normalization=bad)
+
+    @pytest.mark.parametrize("mode", list(NormalizationMode))
+    def test_mode_and_its_name_build_equal_trajectories(self, mode):
+        assert NormalizationMode.parse(mode) is mode
+        by_mode = build_trajectory("TK", TK_START, steps=2, normalization=mode)
+        name = f" {mode.value.upper()} "
+        by_name = build_trajectory("TK", TK_START, steps=2, normalization=name)
+        assert by_name.normalization is mode
+        assert (by_name.err, by_name.bound) == (by_mode.err, by_mode.bound)
+        for got, want in zip(by_name.display_iterates(), by_mode.display_iterates()):
+            assert np.array_equal(got.coeffs, want.coeffs)
+
     def test_tk_sigma_estimate(self):
         sig, used = sigma_probe("TK", TK_START, err_floor=1e-9)
         assert sig == pytest.approx((2 - 1) / (2 + 3), abs=0.01)
@@ -436,7 +455,7 @@ class TestNormalization:
         multi = build_trajectory("Tnu", MultiIndexMetric(build_basis(1, k), coeffs),
                                  steps=4, normalization=mode)
         assert isinstance(multi.balanced, MultiIndexMetric)
-        assert multi.k == diag.k == k
+        assert multi.iterates[0].k == diag.iterates[0].k == k
         assert multi.sigma_predicted == diag.sigma_predicted
         assert np.allclose(multi.err, diag.err, rtol=0.0, atol=1e-8)
 

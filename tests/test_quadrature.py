@@ -14,7 +14,7 @@ from balmet import (
     gauss_legendre_unit,
     integrate_semi_infinite,
 )
-from balmet.quadrature import refine_by_doubling
+from balmet.quadrature import refine_by_doubling, stack_rules
 
 
 def beta_exact(q: int, k: int) -> float:
@@ -47,6 +47,18 @@ class TestNodes:
         # by subtraction would already lose ~3e-10 here)
         t, omt, _ = gauss_legendre_unit(2048)
         assert abs(omt[-1] / t[0] - 1.0) < 1e-11
+
+
+@pytest.mark.parametrize("nodes", [(12, 18), (64, 128), (27,)])
+def test_stack_rules_pads_each_rule_to_the_largest(nodes):
+    t, omt, w = stack_rules(gauss_legendre_unit(c) for c in nodes)
+    assert t.shape == omt.shape == w.shape == (len(nodes), max(nodes))
+    for i, c in enumerate(nodes):
+        # the real nodes are the rule of c nodes, bit for bit
+        for got, want in zip((t[i], omt[i], w[i]), gauss_legendre_unit(c)):
+            assert np.array_equal(got[:c], want)
+        assert (t[i, c:] == 0.5).all() and (omt[i, c:] == 0.5).all()
+        assert (w[i, c:] == 0.0).all()
 
 
 class TestSemiInfinite:
