@@ -22,6 +22,7 @@ from . import __version__
 from .cp1 import OperatorKind, density_profile
 from .cpn import (
     build_basis,
+    check_dimension,
     full_symmetry_orbits,
     metric_from_class_values,
     multinomial_coeffs,
@@ -117,8 +118,7 @@ def _add_metric_args(p: argparse.ArgumentParser) -> None:
 
 
 def _check_start_args(args) -> None:
-    if args.n < 1 or args.n > 3:
-        raise MetricError(f"projective dimension n={args.n} unsupported; expected 1..3")
+    check_dimension(args.n)
     if args.k < 0:
         raise MetricError("k must be nonnegative")
     if args.k < 1 and args.n >= 2:

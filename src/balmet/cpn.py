@@ -333,9 +333,9 @@ def _factor_tables(basis: MonomialBasis, reps: tuple[int, ...],
 
 
 def check_dimension(n: int) -> None:
-    """Raise MetricError unless ``apply_Tnu_cpn`` handles CP^n."""
+    """Raise MetricError unless ``apply_Tnu_cpn`` handles CP^n (the one dimension rule)."""
     if n not in _SUPPORTED_N:
-        raise MetricError(f"unsupported dimension n={n}; this build handles n <= 3")
+        raise MetricError(f"projective dimension n={n} unsupported; expected 1..3")
 
 
 def apply_Tnu_cpn(

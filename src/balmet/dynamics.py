@@ -90,36 +90,38 @@ def _shape_distance(a, b) -> float:
     return sqrt((np.log(nb / na) ** 2).sum())
 
 
+def _domain(op, g):
+    """(kind, metric) for op parsed and g coerced, once g is checked: a
+    DiagonalMetric takes each map defined at its degree, a MultiIndexMetric
+    only T_nu, and either needs n <= 3 (``cpn.check_dimension``)."""
+    kind, g = OperatorKind.parse(op), as_metric(g)
+    if not isinstance(g, MultiIndexMetric):
+        kind.validate_degree(g.k)
+    elif kind is not OperatorKind.TNU:
+        raise MetricError("only the T_nu map is defined on CP^n metrics here")
+    cpn.check_dimension(g.n)
+    return kind, g
+
+
 def apply_step(op, g, tol: float = DEFAULT_APPLY_TOL):
     """Apply one operator step, dispatching on the metric type.
 
-    DiagonalMetric goes through the CP^1 maps; MultiIndexMetric supports the
-    T_nu map only.
+    A MultiIndexMetric must pass ``_domain`` for the CP^n T_nu map; anything
+    else goes through the CP^1 maps, which check their own degree.
     """
     if isinstance(g, MultiIndexMetric):
-        _check_cpn_op(op)
+        _domain(op, g)
         return cpn.apply_Tnu_cpn(g, tol=tol)
     return cp1.apply_operator(op, g, tol=tol)
 
 
-def _check_cpn_op(op) -> None:
-    if OperatorKind.parse(op) is not OperatorKind.TNU:
-        raise MetricError("only the T_nu map is defined on CP^n metrics here")
-
-
 def _orbit(op, g0, tol: float):
     """Yield the orbit g0, F(g0), F^2(g0), ... without end.  Every application
-    in this module runs here, after g0 is checked against the map's domain
-    (so an orbit of zero steps is checked too); a failing check or
-    application gets its input's index attached as ``step_index``."""
-    g, kind = as_metric(g0), OperatorKind.parse(op)
+    in this module runs here, after ``_domain`` checks g0 even for zero steps;
+    a failing check or application gets its input's index as ``step_index``."""
     r = 0
     try:
-        if isinstance(g, MultiIndexMetric):  # apply_step's dispatch
-            _check_cpn_op(kind)
-            cpn.check_dimension(g.n)
-        else:
-            kind.validate_degree(g.k)
+        kind, g = _domain(op, g0)
         for r in count():
             yield g
             g = apply_step(kind, g, tol=tol)
@@ -169,7 +171,7 @@ def _orbit_to_limit(op, g0, steps: int, conv_tol: float, max_iter: int,
                 last=g, step_size=step,
             )
     limit = orbit[-1]
-    # T and T_K run on CP^1 metrics only (apply_step rejects the rest)
+    # T and T_K run on CP^1 metrics only (_domain rejects the rest)
     if limit.k == 2 and kind in (OperatorKind.T, OperatorKind.TK):
         predicted = _first_normalized(predict_balanced_direction_k2(orbit[0]))
         got = _first_normalized(limit)
@@ -326,7 +328,7 @@ def sigma_probe(op, g0, err_floor: float = DEFAULT_ERR_FLOOR,
     if max_steps < 2:
         raise ValueError(f"max_steps must be >= 2 (a ratio needs three step sizes), "
                          f"got {max_steps}")
-    g0, kind = as_metric(g0), OperatorKind.parse(op)
+    kind, g0 = _domain(op, g0)
     # T_nu at k=0 is the identity, and every degree-1 metric is binomial
     if (kind, g0.k) in ((OperatorKind.TNU, 0), (OperatorKind.T, 1)):
         raise MetricError(f"{kind.value} at k={g0.k} fixes every metric: "
@@ -366,19 +368,17 @@ def sigma_law(op, g0) -> tuple[float, str]:
     the regime of g0 that selects the law.
 
     For a DiagonalMetric this is ``sigma_closed_form`` with regime "palindromic"
-    or "non-palindromic"; for a MultiIndexMetric (T_nu only, as in ``apply_step``)
-    ``sigma_predict_cpn`` with regime "generally symmetric" when the invariant
-    coordinate permutations act transitively (``classify_symmetry``), else
-    "generic".
+    or "non-palindromic"; for a MultiIndexMetric ``sigma_predict_cpn`` with
+    regime "generally symmetric" when the invariant coordinate permutations act
+    transitively (``classify_symmetry``), else "generic".  g0 must pass ``_domain``.
     """
-    g0 = as_metric(g0)
+    kind, g0 = _domain(op, g0)
     if isinstance(g0, MultiIndexMetric):
-        _check_cpn_op(op)
         sym = classify_symmetry(g0).generally_symmetric
         return (sigma_predict_cpn(g0.n, g0.k, sym),
                 "generally symmetric" if sym else "generic")
     pal = is_palindromic(g0)
-    return (sigma_closed_form(op, g0.k, palindromic=pal),
+    return (sigma_closed_form(kind, g0.k, palindromic=pal),
             "palindromic" if pal else "non-palindromic")
 
 

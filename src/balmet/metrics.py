@@ -232,13 +232,14 @@ def predict_balanced_direction_k2(g) -> DiagonalMetric:
     """Direction of the balanced limit of a degree-2 metric under T or T_K.
 
     The ratio a_2/a_0 is conserved by both maps at k = 2, which pins the
-    limit to (a_0, 2*sqrt(a_0*a_2), a_2) up to overall scale.
+    limit to (a_0, 2*sqrt(a_0)*sqrt(a_2), a_2) up to overall scale (the product
+    a_0*a_2 leaves floating-point range at scales the maps handle).
     """
     g = as_cp1_metric(g)
     if g.k != 2:
         raise MetricError(f"prediction requires degree 2, got k={g.k}")
     a0, _, a2 = g.coeffs
-    return DiagonalMetric(np.array([a0, 2.0 * np.sqrt(a0 * a2), a2]))
+    return DiagonalMetric(np.array([a0, 2.0 * np.sqrt(a0) * np.sqrt(a2), a2]))
 
 
 def trace_relation(g, g_next) -> float:

@@ -480,7 +480,7 @@ class TestApply:
     def test_unsupported_dimension(self):
         basis = build_basis(4, 2)
         metric = MultiIndexMetric(basis, multinomial_coeffs(basis))
-        with pytest.raises(MetricError):
+        with pytest.raises(MetricError, match="expected 1..3"):
             apply_Tnu_cpn(metric)
 
     def test_coefficient_validation(self):

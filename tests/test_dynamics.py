@@ -88,6 +88,17 @@ class TestIterate:
         with pytest.raises(MetricError) as exc:
             iterate(op, start, 0)
         assert exc.value.step_index == 0
+        # every entry point that takes a map and a metric makes the one check;
+        # the error has a step index where an orbit runs
+        for run, orbit in ((lambda: find_balanced(op, start), True),
+                           (lambda: build_trajectory(op, start, 0), True),
+                           (lambda: sigma_probe(op, start), False),
+                           (lambda: sigma_law(op, start), False),
+                           (lambda: dynamics.apply_step(op, start), False)):
+            with pytest.raises(MetricError) as other:
+                run()
+            assert str(other.value) == str(exc.value)
+            assert getattr(other.value, "step_index", None) == (0 if orbit else None)
 
     def test_negative_steps(self):
         with pytest.raises(ValueError):
@@ -102,8 +113,12 @@ class TestIterate:
 
 
 class TestFindBalanced:
-    def test_tk_limit_direction(self):
-        b = find_balanced("TK", TK_START)
+    @pytest.mark.parametrize("scale", [1.0, 1e-160, 1e160, 1e-300, 1e300])
+    @pytest.mark.parametrize("op", ["TK", "T"])
+    def test_tk_limit_direction(self, op, scale):
+        # both maps are scale-equivariant, and so is the degree-2 limit check:
+        # a0*a2 would leave floating-point range at 1e+-160 and beyond
+        b = find_balanced(op, np.asarray(TK_START) * scale)
         assert np.allclose(b.coeffs / b.coeffs[0], (1, 12, 36), rtol=1e-8)
 
     def test_tnu_palindromic_limit_is_round(self):
@@ -302,7 +317,8 @@ class TestSigmaClosedForm:
 
 
 class TestSigmaLaw:
-    """The metric's type decides which maps it takes, as in ``apply_step``."""
+    """The metric's type decides which maps it takes, by the one domain check
+    that ``apply_step`` makes too."""
 
     @pytest.mark.parametrize("op", ["T", "TK"])
     def test_cpn_metric_takes_tnu_only(self, op):

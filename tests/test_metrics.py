@@ -195,6 +195,10 @@ class TestPredictK2:
         assert np.allclose(predict_balanced_direction_k2((1, 2, 1)).coeffs, (1, 2, 1))
         assert np.allclose(predict_balanced_direction_k2((4, 100, 9)).coeffs,
                            (4, 12, 9))
+        # a0*a2 leaves floating-point range at these scales; the direction does not
+        for s in (1e-300, 1e-170, 1e-160, 1e160, 1e300):
+            got = predict_balanced_direction_k2(np.array([1.0, 17.0, 36.0]) * s)
+            assert np.allclose(got.coeffs / s, (1, 12, 36), rtol=1e-14)
 
     def test_idempotent(self):
         rng = np.random.default_rng(4)
