@@ -30,14 +30,16 @@ has mass k, and a @ dens is checked against it) and a @ dens for T_K.
 An application certifies from the first pair of its ladder (64/128) at
 least, so its first call forms both levels at once (``fuse_first_pair``): one
 Q, one f and one product over a stack of the two rules, the coarser padded
-to 128 nodes by nodes of weight 0; every later rung is a stack of one.
+to 128 nodes by nodes of weight 0; every later rung is a stack of one.  The
+degree check and the pair's tables are taken once per map and degree
+(``_step``).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -134,32 +136,46 @@ def _density_coeffs(a: np.ndarray) -> np.ndarray:
     return np.bincount(s, weights=a[i] * a[j] * d2)
 
 
-def _apply_family(g, kind: OperatorKind, tol: float) -> DiagonalMetric:
-    g = as_cp1_metric(g)
-    k = g.k
+@lru_cache(maxsize=64)
+def _step(kind: OperatorKind, k: int):
+    """``levels(ah, c, nodes)``: dens_0, ..., dens_k of each rule of the
+    stack with the node counts nodes, one row per rule, for the coefficients
+    ah (max 1) and, for T, their c_s, holding the first pair's tables.  A
+    raising call caches nothing, so an invalid k raises on every call."""
     kind.validate_degree(k)
-    coeffs = g.coeffs.tolist()  # few: Python's min and max beat numpy's reductions
-    amax = max(coeffs)
-    ah = g.coeffs / amax
-    c = _density_coeffs(ah) if kind is OperatorKind.T else None
-    ladder = LADDERS[1]
 
-    def levels(nodes: tuple[int, ...]) -> np.ndarray:
-        """dens_0, ..., dens_k of each rule of the stack with the node
-        counts nodes, one row per rule."""
-        w0, nu = _node_weights(nodes)
-        rows = _rows(k, nodes)
+    def tables(nodes: tuple[int, ...]) -> tuple:
+        return (*_node_weights(nodes), _rows(k, nodes),
+                _rows(2 * k - 2, nodes) if kind is OperatorKind.T else None)
+
+    pair = LADDERS[1][:2]
+    pair_tables = tables(pair)
+
+    def levels(ah: np.ndarray, c, nodes: tuple[int, ...]) -> np.ndarray:
+        w0, nu, rows, s_rows = pair_tables if nodes == pair else tables(nodes)
         Q = ah @ rows
         if kind is OperatorKind.TNU:
             f = nu / Q  # t^3 + (1-t)^3 homogenizes 1+x
         elif kind is OperatorKind.T:
-            f = c @ _rows(2 * k - 2, nodes) / Q / Q / Q  # S/Q^3 in steps: Q^3 can underflow
+            f = c @ s_rows / Q / Q / Q  # S/Q^3 in steps: Q^3 can underflow
         else:
             f = np.exp((-2.0 / k) * np.log(Q)) / Q  # fractional power of the positive Q
         x = w0 * f
         return (rows @ x[..., None])[..., 0]
 
-    evaluate = fuse_first_pair(levels, ladder)
+    return levels
+
+
+def _apply_family(g, kind: OperatorKind, tol: float) -> DiagonalMetric:
+    g = as_cp1_metric(g)
+    k = g.k
+    levels = _step(kind, k)
+    coeffs = g.coeffs.tolist()  # few: Python's min and max beat numpy's reductions
+    amax = max(coeffs)
+    ah = g.coeffs / amax
+    c = _density_coeffs(ah) if kind is OperatorKind.T else None
+    ladder = LADDERS[1]
+    evaluate = fuse_first_pair(partial(levels, ah, c), ladder)
     try:
         # Q >= min(ah) 8^-k at every node, and from 1e-90 on no f can leave
         # floating-point range.  Below, Q may underflow: numpy raises there

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count, islice, pairwise
 from math import log, sqrt
 
@@ -83,10 +84,13 @@ def _first_normalized(g):
     return scale(g, 1.0 / float(g.coeffs[0]))
 
 
-def _shape_distance(a, b) -> float:
-    """distance(_first_normalized(a), _first_normalized(b)), bit for bit,
-    without building the two metrics."""
-    na, nb = a.coeffs * (1.0 / a.coeffs[0]), b.coeffs * (1.0 / b.coeffs[0])
+def _shape(g) -> np.ndarray:
+    """The coefficients of _first_normalized(g), bit for bit, without building it."""
+    return g.coeffs * (1.0 / g.coeffs[0])
+
+
+def _log_distance(na: np.ndarray, nb: np.ndarray) -> float:
+    """distance(a, b) for the coefficients na and nb of a and b."""
     return sqrt((np.log(nb / na) ** 2).sum())
 
 
@@ -152,15 +156,16 @@ def _orbit_to_limit(op, g0, steps: int, conv_tol: float, max_iter: int,
     """The orbit [g0, ..., F^j(g0)] up to its balanced limit F^j(g0): the
     first item after F^steps(g0) that meets the ``find_balanced`` criterion,
     within max_iter further applications, and passes its degree-2 check."""
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+    if max_iter < 1:  # the criterion needs one measured step
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     _check_distance_limit("conv_tol", conv_tol)
     kind = OperatorKind.parse(op)
-    orbit = []
+    orbit, shape = [], None
     step = float("inf")
     for r, g in enumerate(_orbit(kind, g0, tol)):
-        if r > steps:
-            step = _shape_distance(orbit[-1], g)
+        if r > steps:  # each iterate normalized once, after its image exists
+            last, shape = (_shape(orbit[-1]) if shape is None else shape), _shape(g)
+            step = _log_distance(last, shape)
         orbit.append(g)
         if step < conv_tol:
             break
@@ -227,10 +232,14 @@ class Trajectory:
     def steps(self) -> int:
         return len(self.iterates) - 1
 
+    @cached_property
+    def _shown(self) -> tuple:  # each iterate normalized once, however often shown
+        return tuple(_normalize_against(g, self.balanced, self.normalization)
+                     for g in self.iterates)
+
     def display_iterates(self) -> list:
         """Iterates under the trajectory's normalization convention."""
-        return [_normalize_against(g, self.balanced, self.normalization)
-                for g in self.iterates]
+        return list(self._shown)
 
     def display_balanced(self):
         return _normalize_against(self.balanced, self.balanced, self.normalization)
@@ -246,7 +255,7 @@ def _normalize_against(g, balanced, mode: NormalizationMode):
 
 def _err_against(g, balanced, mode: NormalizationMode) -> float:
     if mode is NormalizationMode.FIRST_COEFF:
-        return _shape_distance(g, balanced)
+        return _log_distance(_shape(g), _shape(balanced))
     return distance(g, balanced)
 
 
@@ -333,9 +342,10 @@ def sigma_probe(op, g0, err_floor: float = DEFAULT_ERR_FLOOR,
     if (kind, g0.k) in ((OperatorKind.TNU, 0), (OperatorKind.T, 1)):
         raise MetricError(f"{kind.value} at k={g0.k} fixes every metric: "
                           "there is no contraction ratio to estimate")
-    steps = []
-    for g, h in pairwise(_orbit(kind, g0, tol)):
-        steps.append(_shape_distance(g, h))
+    steps, shape = [], None
+    for g, h in pairwise(_orbit(kind, g0, tol)):  # each iterate normalized once
+        last, shape = (_shape(g) if shape is None else shape), _shape(h)
+        steps.append(_log_distance(last, shape))
         if steps[-1] <= err_floor or len(steps) > max_steps:
             break
     r = len(steps) - 1 - (steps[-1] <= err_floor)  # every earlier step is above it

@@ -258,16 +258,21 @@ class TestValidationErrors:
 
     @pytest.mark.parametrize("op", ["Tnu", "TK"])
     def test_integrands_past_floating_range_are_a_numerical_failure(self, capsys, op):
-        # a spread of 1e600 underflows Q at some nodes: exit 2, no numpy warning
+        # a spread of 1e600 underflows Q at some nodes: exit 2, no numpy warning.
+        # Its first-normalized coefficients overflow too, so an orbit that
+        # measures steps from the start (--steps 0, sigma) must not normalize
+        # it before its image exists
         coeffs = ",".join(["1e-300"] + ["1"] * 15 + ["1e300"])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code, out, err = run_cli(capsys, "iterate", "--op", op, "--k", "16",
-                                     "--coeffs", coeffs, "--steps", "1")
-        assert code == 2
-        assert out == ""
-        assert err == (f"numerical failure (step 0): {op}, n=1, k=16: the integrands leave"
-                       " floating-point range (coefficient spread max a / min a = inf)\n")
+        start = ["--op", op, "--k", "16", "--coeffs", coeffs]
+        for argv in (["iterate", *start, "--steps", "1"], ["iterate", *start, "--steps", "0"],
+                     ["sigma", *start]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code, out, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err == (f"numerical failure (step 0): {op}, n=1, k=16: the integrands leave"
+                           " floating-point range (coefficient spread max a / min a = inf)\n")
 
     @pytest.mark.parametrize("argv, message", [
         (["iterate", "--op", "T", "--k", "2", "--coeffs", "1,x,3", "--steps", "1"],
@@ -287,7 +292,10 @@ class TestValidationErrors:
         (["sigma", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--steps", "1"],
          "max_steps must be >= 2 (a ratio needs three step sizes), got 1"),
         (["iterate", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--steps", "2",
-          "--max-iter", "-1"], "max_iter must be >= 0, got -1"),
+          "--max-iter", "-1"], "max_iter must be >= 1, got -1"),
+        # no step is measured before a cap of 0, so not even a fixed point meets it
+        (["iterate", "--op", "Tnu", "--k", "2", "--family", "round", "--steps", "0",
+          "--max-iter", "0"], "max_iter must be >= 1, got 0"),
         (["profile", "--op", "T", "--k", "2", "--coeffs", "1,2,1", "--steps", "-1"],
          "steps must be >= 0, got -1"),
         # no step size falls below such a conv_tol: fail at once, not after max_iter
@@ -325,7 +333,7 @@ class TestValidationErrors:
          "--x-min must be finite and positive, got -1.0"),
         (["profile", "--op", "T", "--k", "2", "--coeffs", "1,2,1", "--x-max", "0"],
          "--x-max must be finite and positive, got 0.0"),
-    ], ids=["sigma-steps", "sigma-one-step", "iterate-max-iter",
+    ], ids=["sigma-steps", "sigma-one-step", "iterate-max-iter", "iterate-max-iter-zero",
             "profile-steps", "iterate-conv-tol-negative", "iterate-conv-tol-nan",
             "sigma-conv-tol-negative", "sigma-conv-tol-nan", "sigma-err-floor-nan",
             "iterate-conv-tol-inf-tnu", "iterate-conv-tol-inf-tk", "sigma-conv-tol-inf",

@@ -312,6 +312,7 @@ def test_cached_tables_read_only_and_cold_equals_warm():
 
     g = DiagonalMetric(np.exp(np.random.default_rng(5).uniform(-4, 4, 7)))
     for op in ("T", "Tnu", "TK"):
+        cp1._step.cache_clear()
         cp1._rows.cache_clear()
         cp1._node_weights.cache_clear()
         cp1._pairs.cache_clear()
@@ -445,8 +446,10 @@ def test_density_coeffs_match_the_pair_sum():
 
 class TestDegreeValidation:
     def test_T_rejects_k0(self):
-        with pytest.raises(MetricError):
-            apply_T((1.0,))
+        # a raising call caches no step for its (kind, k): every call raises
+        for _ in range(2):
+            with pytest.raises(MetricError, match="T is undefined for k=0"):
+                apply_T((1.0,))
 
     def test_Tnu_allows_k0(self):
         out = apply_Tnu((3.0,))
@@ -454,8 +457,9 @@ class TestDegreeValidation:
 
     @pytest.mark.parametrize("coeffs", [(1.0,), (1.0, 2.0), (1, 2, 3, 4)])
     def test_TK_rejects_bad_degree(self, coeffs):
-        with pytest.raises(MetricError):
-            apply_TK(coeffs)
+        for _ in range(2):
+            with pytest.raises(MetricError, match="T_K requires even degree"):
+                apply_TK(coeffs)
 
     def test_operator_kind_parse(self):
         assert OperatorKind.parse("tnu") is OperatorKind.TNU

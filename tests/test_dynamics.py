@@ -144,6 +144,17 @@ class TestFindBalanced:
         assert exc.value.last is not None
         assert exc.value.step_size is not None
 
+    def test_max_iter_needs_one_measured_step(self):
+        # a cap of 0 measures no step, so it raises before any application;
+        # a cap of 1 finds the limit of an exact fixed point
+        round_k2 = balanced_coeffs(BalancedFamily(2))
+        for call in (lambda: find_balanced("Tnu", round_k2, max_iter=0),
+                     lambda: build_trajectory("Tnu", round_k2, 0, max_iter=0)):
+            with pytest.raises(ValueError, match=r"^max_iter must be >= 1, got 0$"):
+                call()
+        assert np.array_equal(find_balanced("Tnu", round_k2, max_iter=1).coeffs,
+                              iterate("Tnu", round_k2, 1)[1].coeffs)
+
     def test_convergence_error_names_the_map(self):
         with pytest.raises(ConvergenceError, match=r"^TK, n=1, k=2: no balanced limit within 2 "):
             find_balanced("TK", (1, 17, 36), max_iter=2)
@@ -205,6 +216,21 @@ class TestErrorSeriesAndSigma:
         sig = coordinate_sigma_series(traj, coord=1)
         assert sig[8] == pytest.approx(0.1667, abs=5e-4)
         assert sig[1] == pytest.approx(0.0192, abs=5e-4)
+
+    def test_table_normalizes_each_iterate_once(self, monkeypatch):
+        # the sigma column and the coefficients read one normalized copy
+        from balmet.tables import trajectory_table
+
+        traj = build_trajectory("Tnu", (1.0, 25.0, 0.07, 13.0), steps=6,
+                                normalization=NormalizationMode.FIRST_COEFF)
+        calls = []
+        real = dynamics._normalize_against
+        monkeypatch.setattr(dynamics, "_normalize_against",
+                            lambda g, *args: calls.append(g) or real(g, *args))
+        _, rows = trajectory_table(traj)
+        assert len(calls) == len(traj.iterates) + 1  # and the limit once
+        assert [row[1:5] for row in rows] == [
+            scale(g, 1.0 / g[0]).coeffs.tolist() for g in traj.iterates]
 
     def test_sigma_probe_matches_law(self):
         sig, used = sigma_probe("Tnu", (1.0, 25.0, 0.07, 13.0), err_floor=1e-8)
