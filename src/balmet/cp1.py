@@ -27,12 +27,12 @@ f = S/Q^3, S = c @ _rows(2k-2, nodes) and
 c_s = sum_{i+j-1=s, i>j} a_i a_j (i-j)^2.  Only they are certified: each
 numerator is a @ dens, and is taken as 1 for T_nu, k for T (rho = (x P'/P)'
 has mass k, and a @ dens is checked against it) and a @ dens for T_K.
-An application certifies from the first pair of its ladder (64/128) at
-least, so its first call forms both levels at once (``fuse_first_pair``): one
-Q, one f and one product over a stack of the two rules, the coarser padded
-to 128 nodes by nodes of weight 0; every later rung is a stack of one.  The
-degree check and the pair's tables are taken once per map and degree
-(``_step``).
+An application certifies from the first pair of its ladder at least, so
+``quadrature.fuse_first_pair`` forms both levels in its first call: one Q,
+one f and one product over a stack of the two rules, the coarser padded by
+nodes of weight 0; every later rung is a stack of one.  Each stack reads its
+tables from the caches above (``_levels``), and the degree is checked on
+every call.
 """
 
 from __future__ import annotations
@@ -136,46 +136,35 @@ def _density_coeffs(a: np.ndarray) -> np.ndarray:
     return np.bincount(s, weights=a[i] * a[j] * d2)
 
 
-@lru_cache(maxsize=64)
-def _step(kind: OperatorKind, k: int):
-    """``levels(ah, c, nodes)``: dens_0, ..., dens_k of each rule of the
-    stack with the node counts nodes, one row per rule, for the coefficients
-    ah (max 1) and, for T, their c_s, holding the first pair's tables.  A
-    raising call caches nothing, so an invalid k raises on every call."""
-    kind.validate_degree(k)
-
-    def tables(nodes: tuple[int, ...]) -> tuple:
-        return (*_node_weights(nodes), _rows(k, nodes),
-                _rows(2 * k - 2, nodes) if kind is OperatorKind.T else None)
-
-    pair = LADDERS[1][:2]
-    pair_tables = tables(pair)
-
-    def levels(ah: np.ndarray, c, nodes: tuple[int, ...]) -> np.ndarray:
-        w0, nu, rows, s_rows = pair_tables if nodes == pair else tables(nodes)
-        Q = ah @ rows
-        if kind is OperatorKind.TNU:
-            f = nu / Q  # t^3 + (1-t)^3 homogenizes 1+x
-        elif kind is OperatorKind.T:
-            f = c @ s_rows / Q / Q / Q  # S/Q^3 in steps: Q^3 can underflow
-        else:
-            f = np.exp((-2.0 / k) * np.log(Q)) / Q  # fractional power of the positive Q
-        x = w0 * f
-        return (rows @ x[..., None])[..., 0]
-
-    return levels
+def _levels(kind: OperatorKind, k: int, ah: np.ndarray, c, nodes: tuple[int, ...]) -> np.ndarray:
+    """dens_0, ..., dens_k of each rule of the stack with the node counts
+    nodes, one row per rule, for the coefficients ah (max 1) and, for T,
+    their c_s."""
+    w0, nu = _node_weights(nodes)
+    rows = _rows(k, nodes)
+    Q = ah @ rows
+    if kind is OperatorKind.TNU:
+        f = nu / Q  # t^3 + (1-t)^3 homogenizes 1+x
+    elif kind is OperatorKind.T:
+        f = c @ _rows(2 * k - 2, nodes) / Q / Q / Q  # S/Q^3 in steps: Q^3 can underflow
+    else:
+        f = np.exp((-2.0 / k) * np.log(Q)) / Q  # fractional power of the positive Q
+    x = w0 * f
+    return (rows @ x[..., None])[..., 0]
 
 
-def _apply_family(g, kind: OperatorKind, tol: float) -> DiagonalMetric:
+def apply_operator(kind: OperatorKind | str, g, tol: float = DEFAULT_APPLY_TOL) -> DiagonalMetric:
+    """One application of the map ``kind`` (an OperatorKind or its name)."""
+    kind = OperatorKind.parse(kind)
     g = as_cp1_metric(g)
     k = g.k
-    levels = _step(kind, k)
+    kind.validate_degree(k)
     coeffs = g.coeffs.tolist()  # few: Python's min and max beat numpy's reductions
     amax = max(coeffs)
     ah = g.coeffs / amax
     c = _density_coeffs(ah) if kind is OperatorKind.T else None
     ladder = LADDERS[1]
-    evaluate = fuse_first_pair(partial(levels, ah, c), ladder)
+    evaluate = fuse_first_pair(partial(_levels, kind, k, ah, c), ladder)
     try:
         # Q >= min(ah) 8^-k at every node, and from 1e-90 on no f can leave
         # floating-point range.  Below, Q may underflow: numpy raises there
@@ -205,22 +194,17 @@ def _apply_family(g, kind: OperatorKind, tol: float) -> DiagonalMetric:
 
 def apply_T(g, tol: float = DEFAULT_APPLY_TOL) -> DiagonalMetric:
     """One application of the metric-volume-form map T.  Requires k >= 1."""
-    return _apply_family(g, OperatorKind.T, tol)
+    return apply_operator(OperatorKind.T, g, tol)
 
 
 def apply_Tnu(g, tol: float = DEFAULT_APPLY_TOL) -> DiagonalMetric:
     """One application of the fixed-volume-form map T_nu (reference form on CP^1)."""
-    return _apply_family(g, OperatorKind.TNU, tol)
+    return apply_operator(OperatorKind.TNU, g, tol)
 
 
 def apply_TK(g, tol: float = DEFAULT_APPLY_TOL) -> DiagonalMetric:
     """One application of the canonical-volume-form map T_K.  Requires even k >= 2."""
-    return _apply_family(g, OperatorKind.TK, tol)
-
-
-def apply_operator(kind: OperatorKind | str, g, tol: float = DEFAULT_APPLY_TOL) -> DiagonalMetric:
-    """Dispatch to apply_T / apply_Tnu / apply_TK by OperatorKind."""
-    return _apply_family(g, OperatorKind.parse(kind), tol)
+    return apply_operator(OperatorKind.TK, g, tol)
 
 
 @dataclass(frozen=True)

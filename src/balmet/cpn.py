@@ -36,19 +36,18 @@ the numbers of basis elements and of representatives.  Both run as matrix
 products over slabs of columns of the last axis, whose D, H and K share one
 budget of 48^3 values, so no level holds more at a time.
 
-Nearly every application certifies from the first pair of its ladder (24/36
-on CP^2, 12/18 on CP^3), where a level costs its seven or eight numpy calls
-more than its arithmetic.  So the rules are evaluated as stacks of padded
-rules (``stack_rules``, as on CP^1): the first call contracts the pair as a
-stack of two and hands the finer level back on the next call
-(``fuse_first_pair``); every later rung is a stack of one.  The pair then
-does the finer level's arithmetic twice (2 x 18^3 grid points on CP^3
-against 12^3 + 18^3) in half the calls.  None of the factors depends on
-the metric: they are built once per basis, set of orbit representatives and
-tuple of node counts, and cached read-only, the grouping by e folded into the
-middle axis's factors.  What else an application needs that no metric changes
-is built once per basis (``_step``): the orbits and the first pair's tables
-are looked up by the mask of permutations that fix the coefficients.
+Nearly every application certifies from the first pair of its ladder,
+where a level costs its seven or eight numpy calls more than its
+arithmetic.  So the rules are evaluated as stacks of padded rules
+(``stack_rules``, as on CP^1): ``quadrature.fuse_first_pair`` contracts the
+pair as a stack of two in its first call and hands the finer level back on
+the next; every later rung is a stack of one.  The pair then does the finer
+level's arithmetic twice (2 x 18^3 grid points on CP^3 against
+12^3 + 18^3) in half the calls.  None of the factors depends on the metric:
+they are built once per basis, set of orbit representatives and tuple of
+node counts, and cached read-only (``_factor_tables``), the grouping by e
+folded into the middle axis's factors.  The orbits are looked up once per
+basis and mask of permutations that fix the coefficients (``_step``).
 """
 
 from __future__ import annotations
@@ -340,21 +339,19 @@ def check_dimension(n: int) -> None:
 
 @lru_cache(maxsize=64)
 def _step(basis: MonomialBasis):
-    """N n!, the first pair of the ladder, and ``orbits(a)``: the (reps,
-    owner) of ``_partition`` under the permutations that fix a bitwise, with
-    the pair's factor tables, looked up by that mask.  A raising call caches
-    nothing, so an unsupported n raises on every call."""
+    """``orbits(a)``: the (reps, owner) of ``_partition`` under the
+    permutations that fix a bitwise, looked up by that mask.  A raising call
+    caches nothing, so an unsupported n raises on every call."""
     check_dimension(basis.n)
-    maps, pair, by_mask = _symmetries(basis)[1], LADDERS[basis.n][:2], {}
+    maps, by_mask = _symmetries(basis)[1], {}
 
     def orbits(a: np.ndarray) -> tuple:
         mask = np.logical_and.reduce(a[maps] == a, axis=1)
         if (key := mask.tobytes()) not in by_mask:  # one per subgroup of Sym(n+1)
-            _, reps, owner = _partition(basis, tuple(mask.tolist()))
-            by_mask[key] = reps, owner, _factor_tables(basis, reps, pair)
+            by_mask[key] = _partition(basis, tuple(mask.tolist()))[1:]
         return by_mask[key]
 
-    return basis.size * factorial(basis.n), pair, orbits
+    return orbits
 
 
 def apply_Tnu_cpn(
@@ -369,13 +366,13 @@ def apply_Tnu_cpn(
     """
     basis = metric.basis
     n, k = basis.n, basis.k
-    scale, pair, orbits = _step(basis)
+    orbits = _step(basis)
     amax = max(metric.coeffs.tolist())  # few: Python's max beats numpy's reduction
     ah = metric.coeffs / amax
     # orbits under the permutations that fix the coefficients bitwise: exact
     # equality means replication introduces no projection, and keeps iterates
     # of a symmetric start exactly symmetric
-    reps, owner, pair_tables = orbits(metric.coeffs)
+    reps, owner = orbits(metric.coeffs)
 
     def levels(nodes: tuple[int, ...]) -> np.ndarray:
         # D(x_1, x') = sum_e first[e](x_1) H_e(x') over the trailing axes x',
@@ -386,7 +383,7 @@ def apply_Tnu_cpn(
         # columns of every rule of the stack at a time; Y gathers the
         # reductions over the slabs, starting from the first one's
         first, first_numer, grouped, last, numer_grouped, numer_last = (
-            pair_tables if nodes == pair else _factor_tables(basis, reps, nodes))
+            _factor_tables(basis, reps, nodes))
         stack, rows, _ = grouped.shape
         m, mid = first.shape[2], rows // (k + 1)
         width = max(1, _GRID_BLOCK // (stack * mid * (m + 2 * (k + 1))))
@@ -404,7 +401,8 @@ def apply_Tnu_cpn(
     try:
         ladder = LADDERS[n]
         integrals, _ = refine_by_doubling(fuse_first_pair(levels, ladder), tol, ladder)
-        return MultiIndexMetric.image(amax, scale * integrals[owner], basis=basis)
+        return MultiIndexMetric.image(amax, basis.size * factorial(n) * integrals[owner],
+                                      basis=basis)
     except QuadratureError as exc:
         exc.args = (f"Tnu, n={n}, k={k}: {exc}",)
         raise

@@ -298,6 +298,8 @@ class TestValidationErrors:
           "--max-iter", "0"], "max_iter must be >= 1, got 0"),
         (["profile", "--op", "T", "--k", "2", "--coeffs", "1,2,1", "--steps", "-1"],
          "steps must be >= 0, got -1"),
+        (["iterate", "--op", "T", "--k", "2", "--coeffs", "1,2,1", "--steps", "-1"],
+         "steps must be >= 0, got -1"),
         # no step size falls below such a conv_tol: fail at once, not after max_iter
         (["iterate", "--op", "TK", "--k", "2", "--coeffs", "1,17,36", "--steps", "1",
           "--conv-tol", "-1", "--max-iter", "5"], "conv_tol must be > 0, got -1.0"),
@@ -334,7 +336,7 @@ class TestValidationErrors:
         (["profile", "--op", "T", "--k", "2", "--coeffs", "1,2,1", "--x-max", "0"],
          "--x-max must be finite and positive, got 0.0"),
     ], ids=["sigma-steps", "sigma-one-step", "iterate-max-iter", "iterate-max-iter-zero",
-            "profile-steps", "iterate-conv-tol-negative", "iterate-conv-tol-nan",
+            "profile-steps", "iterate-steps", "iterate-conv-tol-negative", "iterate-conv-tol-nan",
             "sigma-conv-tol-negative", "sigma-conv-tol-nan", "sigma-err-floor-nan",
             "iterate-conv-tol-inf-tnu", "iterate-conv-tol-inf-tk", "sigma-conv-tol-inf",
             "sigma-err-floor-inf", "iterate-conv-tol-huge", "iterate-conv-tol-one",
@@ -395,11 +397,15 @@ class TestValidationErrors:
     @pytest.mark.parametrize("argv, message", [
         (["--op", "T", "--k", "1", "--coeffs", "1,3"],
          "T at k=1 fixes every metric"),
+        # a generated start: its one coefficient is palindromic, so the
+        # generic draw takes its fallback before the check
+        (["--op", "Tnu", "--k", "0"], "Tnu at k=0 fixes every metric"),
         (["--op", "Tnu", "--k", "1", "--palindromic", "true"],
          "--palindromic true at k=1 generates only the round metric"),
         (["--op", "Tnu", "--n", "2", "--k", "1", "--symmetric", "true"],
          "--symmetric true at k=1 generates only the round metric"),
-    ], ids=["T-degree-one", "palindromic-degree-one", "symmetric-degree-one"])
+    ], ids=["T-degree-one", "Tnu-degree-zero-generated", "palindromic-degree-one",
+            "symmetric-degree-one"])
     def test_sigma_without_a_contracting_mode(self, capsys, argv, message):
         # every start these give is its own limit: a validation error, not
         # a numerical failure
@@ -602,6 +608,10 @@ class TestReproduceCommand:
         want = [[rows[int(g[0])][0]] + [rows[int(g[0])][j] for j in cols]
                 for g in table.rows]
         assert [list(row) for row in balmet.generate_table(table_id)] == want
+
+    def test_unknown_table_id(self):
+        with pytest.raises(ValueError, match=r"^unknown table 'nope'; expected one of "):
+            balmet.golden_table("nope")
 
     def test_mismatch_exits_3(self, capsys, monkeypatch):
         import balmet.tables as tables

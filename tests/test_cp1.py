@@ -8,6 +8,7 @@ import pytest
 
 from balmet import (
     BalancedFamily,
+    DensityProfile,
     DiagonalMetric,
     MetricError,
     MultiIndexMetric,
@@ -312,7 +313,6 @@ def test_cached_tables_read_only_and_cold_equals_warm():
 
     g = DiagonalMetric(np.exp(np.random.default_rng(5).uniform(-4, 4, 7)))
     for op in ("T", "Tnu", "TK"):
-        cp1._step.cache_clear()
         cp1._rows.cache_clear()
         cp1._node_weights.cache_clear()
         cp1._pairs.cache_clear()
@@ -495,6 +495,10 @@ def rho_exact(coeffs, x):
 
 
 class TestDensityProfile:
+    def test_mismatched_samples_raise(self):
+        with pytest.raises(ValueError, match=r"^x and rho must be matching 1-d arrays$"):
+            DensityProfile([1.0, 2.0], [1.0])
+
     def test_hand_values(self):
         prof = density_profile((1.0, 1.0), np.array([1.0]))
         assert prof.rho[0] == pytest.approx(0.25, rel=1e-14)

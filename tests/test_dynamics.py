@@ -103,6 +103,8 @@ class TestIterate:
     def test_negative_steps(self):
         with pytest.raises(ValueError):
             iterate("T", (1.0, 2.0), -1)
+        with pytest.raises(ValueError, match=r"^steps must be >= 0, got -1$"):
+            build_trajectory("T", (1.0, 2.0), steps=-1)
 
     def test_operator_name_and_kind_give_the_same_orbit(self):
         # the orbit parses its operator once; a name and its kind run alike
@@ -154,6 +156,17 @@ class TestFindBalanced:
                 call()
         assert np.array_equal(find_balanced("Tnu", round_k2, max_iter=1).coeffs,
                               iterate("Tnu", round_k2, 1)[1].coeffs)
+
+    def test_degree_two_limit_off_the_conserved_direction_raises(self, monkeypatch):
+        # T at k=2 conserves a0 a2 / a1^2: a limit off the predicted direction
+        # is a convergence failure, not a result
+        monkeypatch.setattr(dynamics, "predict_balanced_direction_k2",
+                            lambda g: DiagonalMetric(np.ones(3)))
+        with pytest.raises(ConvergenceError) as exc:
+            find_balanced("T", TK_START)
+        assert str(exc.value).startswith("T, n=1, k=2: degree-2 limit deviates")
+        assert exc.value.step_size is not None
+        assert exc.value.last is not None
 
     def test_convergence_error_names_the_map(self):
         with pytest.raises(ConvergenceError, match=r"^TK, n=1, k=2: no balanced limit within 2 "):
@@ -340,6 +353,8 @@ class TestSigmaClosedForm:
             sigma_closed_form("T", 0)
         with pytest.raises(MetricError):
             sigma_closed_form("TK", 3)
+        with pytest.raises(MetricError, match=r"^degree k must be >= 0, got k=-1$"):
+            sigma_closed_form("Tnu", -1)
 
 
 class TestSigmaLaw:

@@ -41,6 +41,10 @@ class TestNodes:
         # complement pairs are exact to machine relative precision
         assert np.max(np.abs(t + omt - 1.0)) < 5e-16
 
+    def test_needs_a_node(self):
+        with pytest.raises(ValueError, match=r"^node count must be >= 1$"):
+            gauss_legendre_unit(0)
+
     def test_complement_precision_at_endpoint(self):
         # the smallest 1-t is ~3e-7 at m=2048; by node symmetry it must agree
         # with the smallest t to near machine relative precision (forming it
